@@ -22,8 +22,8 @@ type TableSpec struct {
 	// Name is the table name (required).
 	Name string
 	// Location is a CSV file path, or a glob pattern (*, ?, [...]). A glob
-	// matching several files registers a sharded table: each file becomes
-	// one shard with its own reader, positional map, cache and statistics,
+	// matching several files registers one table with one segment per file
+	// — each with its own reader, positional map, cache and statistics —
 	// scanned in sorted file order; results are identical to querying the
 	// files' concatenation as a single CSV.
 	Location string
@@ -106,27 +106,22 @@ func (db *DB) createTable(spec TableSpec) (time.Duration, *QueryStats, error) {
 			return 0, nil, cerr
 		}
 		coreOpts.Scheduler = db.sched
-		if len(paths) == 1 {
-			if partBytes := resolvePartitionBytes(opts, paths[0]); partBytes > 0 {
-				tbl, terr := core.NewPartitionedTable(paths[0], sch, coreOpts, partBytes)
-				if terr != nil {
-					return 0, nil, terr
-				}
-				entry.Handle = tbl
-			} else {
-				tbl, terr := core.NewTable(paths[0], sch, coreOpts)
-				if terr != nil {
-					return 0, nil, terr
-				}
-				entry.Handle = tbl
-			}
+		// One table shape, three segment layouts: a glob is one segment per
+		// file, a (large or explicitly partitioned) single file is byte-range
+		// segments, anything else is one whole-file segment.
+		var tbl *core.Table
+		var terr error
+		if len(paths) > 1 {
+			tbl, terr = core.NewShardedTable(spec.Location, paths, sch, coreOpts)
+		} else if partBytes := resolvePartitionBytes(opts, paths[0]); partBytes > 0 {
+			tbl, terr = core.NewPartitionedTable(paths[0], sch, coreOpts, partBytes)
 		} else {
-			tbl, terr := core.NewShardedTable(spec.Location, paths, sch, coreOpts)
-			if terr != nil {
-				return 0, nil, terr
-			}
-			entry.Handle = tbl
+			tbl, terr = core.NewTable(paths[0], sch, coreOpts)
 		}
+		if terr != nil {
+			return 0, nil, terr
+		}
+		entry.Handle = tbl
 
 	case "load":
 		if len(paths) != 1 {

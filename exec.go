@@ -325,13 +325,20 @@ func (db *DB) catalogRows(ctx context.Context, st sql.Statement, args []any) (*R
 			if !ok {
 				continue
 			}
-			shards := 1
-			if sh, sharded := e.Handle.(interface{ NumShards() int }); sharded {
-				shards = sh.NumShards()
+			// Segment count from discovered facts only — no file I/O under the
+			// catalog lock: a byte-range table whose bounds no scan or refresh
+			// has discovered yet reports NULL.
+			shards := value.Int(1)
+			if t, isRaw := e.Handle.(*core.Table); isRaw {
+				if n := t.NumSegments(); n > 0 {
+					shards = value.Int(int64(n))
+				} else {
+					shards = value.Null()
+				}
 			}
 			r.static = append(r.static, []value.Value{
 				value.Text(e.Name), value.Text(e.Mode.String()), value.Text(e.Path),
-				value.Int(int64(e.Schema.Len())), value.Int(int64(shards)),
+				value.Int(int64(e.Schema.Len())), shards,
 			})
 		}
 		db.mu.RUnlock()

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"nodb/internal/faultfs"
 )
 
 func writeTestCSV(t *testing.T, rows int) string {
@@ -294,5 +297,55 @@ func TestCreateTableLoadDDL(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != "item-7" {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestShowTablesDoesNoFileIO is the regression test for SHOW TABLES
+// discovering byte-range partition boundaries (a file open plus boundary
+// probes) while holding the catalog lock: with every open of the file
+// counted and every read failing, the listing must still succeed, touch
+// nothing, and report the undiscovered segment count as NULL. Once a query
+// has discovered the boundaries it reports the count.
+func TestShowTablesDoesNoFileIO(t *testing.T) {
+	path := writeTestCSV(t, 300)
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Exec(context.Background(), fmt.Sprintf(
+		"CREATE EXTERNAL TABLE p (id int, name text, score float, grp int) "+
+			"USING raw LOCATION '%s' WITH (partition_bytes = 2048)", path)); err != nil {
+		t.Fatal(err)
+	}
+	var opens atomic.Int64
+	uninstall := faultfs.Install(func(p string) bool {
+		if p == path {
+			opens.Add(1)
+		}
+		return p == path
+	}, faultfs.Options{Kind: faultfs.PermanentErr})
+	defer uninstall()
+
+	res, err := db.Query("SHOW TABLES")
+	if err != nil {
+		t.Fatalf("SHOW TABLES over an unreadable file: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][4] != nil {
+		t.Fatalf("SHOW TABLES before discovery = %v, want one row with NULL shards", res.Rows)
+	}
+	if n := opens.Load(); n != 0 {
+		t.Fatalf("SHOW TABLES opened the table file %d times", n)
+	}
+
+	uninstall()
+	if _, err := db.Query("SELECT count(*) FROM p"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = db.Query("SHOW TABLES"); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := res.Rows[0][4].(int64); !ok || n < 3 {
+		t.Fatalf("SHOW TABLES after a scan reports shards=%v, want the discovered partition count", res.Rows[0][4])
 	}
 }

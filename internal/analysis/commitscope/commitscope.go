@@ -1,8 +1,8 @@
 // Package commitscope statically enforces the dirty-chunk determinism
 // rule: the adaptive structures — positional map, raw cache, statistics
 // collector — may only be mutated from the ordered-commit scope
-// (Scan.commit and its helpers) or a table refresh (Table.Refresh /
-// ShardedTable.Refresh). Anywhere else, a Populate/Put/ObserveBatch/
+// (Scan.commit and its helpers) or a refresh (Table.Refresh looping over
+// Segment.Refresh). Anywhere else, a Populate/Put/ObserveBatch/
 // SetRowCount call races the commit order and breaks the
 // byte-identical-at-any-parallelism contract the differential tests pin.
 //

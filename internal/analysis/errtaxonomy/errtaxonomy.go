@@ -37,7 +37,7 @@ const UntypedFact = "errtaxonomy.untyped"
 // Roots names, per package, the scan-path entry points. In rawfile the
 // whole package is scan substrate, so every function is a root.
 var Roots = map[string]map[string]bool{
-	"core":    {"Next": true, "NextBatch": true, "DrainAgg": true, "splitter": true, "worker": true, "OpenScan": true},
+	"core":    {"Next": true, "NextBatch": true, "DrainAgg": true, "splitter": true, "worker": true, "OpenScan": true, "NewScan": true},
 	"rawfile": {"*": true},
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
@@ -74,12 +73,14 @@ func newAggStates(aggs []AggCall) ([]expr.Aggregator, error) {
 }
 
 // PushAgg installs worker-side partial aggregation on a scan that has not
-// started yet. It reports false when the scan cannot honor the pushdown —
-// it already produced data, or it is a zero-attribute COUNT(*) scan whose
+// been driven yet (no pipeline has started, so every chunk worker is built
+// with the pushdown in its spec). It reports false when the scan cannot
+// honor the pushdown — it already produced data, or it is a zero-attribute
+// COUNT(*) scan whose
 // metadata fast path answers without touching rows — in which case the
 // caller must aggregate the scan's rows itself.
 func (s *Scan) PushAgg(spec *AggPushdown) bool {
-	if spec == nil || s.chunkID != 0 || s.cur != nil || s.pl != nil || s.finished || s.rowsDone != 0 {
+	if spec == nil || s.topped >= 0 || s.closed {
 		return false
 	}
 	if len(s.spec.Needed) == 0 && s.spec.Filter == nil {
@@ -87,9 +88,6 @@ func (s *Scan) PushAgg(spec *AggPushdown) bool {
 	}
 	s.spec.Agg = spec
 	s.aggTable = make(map[string]*PartialGroup)
-	if s.w != nil {
-		s.w.spec.Agg = spec // sequential worker took its spec copy at NewScan
-	}
 	return true
 }
 
@@ -102,10 +100,11 @@ func (s *Scan) DrainAgg() ([]*PartialGroup, error) {
 		//nodbvet:errtaxonomy-ok API misuse by the caller, not a scan-path fault
 		return nil, fmt.Errorf("core: DrainAgg without PushAgg")
 	}
+	if err := s.usable(); err != nil {
+		return nil, err
+	}
 	for !s.finished {
-		if err := s.advance(); err == io.EOF {
-			s.finished = true
-		} else if err != nil {
+		if err := s.advance(); err != nil {
 			return nil, err
 		}
 	}

@@ -246,7 +246,7 @@ func TestAggPushdownStructuresStillPopulate(t *testing.T) {
 	if tbl.RowCount() != 1500 {
 		t.Errorf("row count not learned: %d", tbl.RowCount())
 	}
-	if tbl.pm.Stats().UsedBytes == 0 {
+	if tbl.Segments()[0].pm.Stats().UsedBytes == 0 {
 		t.Error("positional map not populated")
 	}
 	if _, b := drainAggGroups(t, tbl, ScanSpec{Needed: []int{0, 1, 2, 3}}, aggTestSpec()); b.CacheHitFields == 0 {

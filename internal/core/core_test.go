@@ -208,10 +208,10 @@ func TestBaselineNeverAdapts(t *testing.T) {
 	if b2.FieldsTokenized != b1.FieldsTokenized || b2.FieldsConverted != b1.FieldsConverted {
 		t.Errorf("baseline changed behavior across queries: %+v vs %+v", b1, b2)
 	}
-	if st := tbl.PosMap().Stats(); st.Inserts != 0 {
+	if st := tbl.Segments()[0].PosMap().Stats(); st.Inserts != 0 {
 		t.Errorf("baseline populated the positional map: %+v", st)
 	}
-	if st := tbl.Cache().Stats(); st.Inserts != 0 {
+	if st := tbl.Segments()[0].Cache().Stats(); st.Inserts != 0 {
 		t.Errorf("baseline populated the cache: %+v", st)
 	}
 }
@@ -280,10 +280,10 @@ func TestTinyBudgetsStillCorrect(t *testing.T) {
 		got := collect(t, tbl, ScanSpec{Needed: needed})
 		checkRows(t, got, ref, needed)
 	}
-	if st := tbl.PosMap().Stats(); st.UsedBytes > 2048 {
+	if st := tbl.Segments()[0].PosMap().Stats(); st.UsedBytes > 2048 {
 		t.Errorf("posmap over budget: %+v", st)
 	}
-	if st := tbl.Cache().Stats(); st.UsedBytes > 2048 {
+	if st := tbl.Segments()[0].Cache().Stats(); st.UsedBytes > 2048 {
 		t.Errorf("cache over budget: %+v", st)
 	}
 }
@@ -318,12 +318,12 @@ func TestAccessCountsAndQueries(t *testing.T) {
 	tbl := newTable(t, path, InSituOptions())
 	collect(t, tbl, ScanSpec{Needed: []int{0, 2}})
 	collect(t, tbl, ScanSpec{Needed: []int{2}})
-	ac := tbl.AccessCounts()
+	ac := tbl.Segments()[0].AccessCounts()
 	if ac[0] != 1 || ac[2] != 2 || ac[1] != 0 {
 		t.Errorf("accessCounts=%v", ac)
 	}
-	if tbl.Queries() != 2 {
-		t.Errorf("queries=%d", tbl.Queries())
+	if tbl.Segments()[0].Queries() != 2 {
+		t.Errorf("queries=%d", tbl.Segments()[0].Queries())
 	}
 }
 
@@ -408,7 +408,7 @@ func TestRefreshRewrite(t *testing.T) {
 	path, _ := genCSV(t, 500)
 	tbl := newTable(t, path, InSituOptions())
 	collect(t, tbl, ScanSpec{Needed: []int{0, 1, 2, 3, 4}})
-	if tbl.Cache().Stats().Fragments == 0 {
+	if tbl.Segments()[0].Cache().Stats().Fragments == 0 {
 		t.Fatal("precondition: cache empty")
 	}
 
@@ -420,7 +420,7 @@ func TestRefreshRewrite(t *testing.T) {
 	if change.String() != "rewritten" {
 		t.Fatalf("change=%v", change)
 	}
-	if tbl.Cache().Stats().Fragments != 0 || tbl.PosMap().Stats().Grains != 0 {
+	if tbl.Segments()[0].Cache().Stats().Fragments != 0 || tbl.Segments()[0].PosMap().Stats().Grains != 0 {
 		t.Error("structures not cleared on rewrite")
 	}
 	got := collect(t, tbl, ScanSpec{Needed: []int{0, 1}})
@@ -448,12 +448,12 @@ func TestToggleComponents(t *testing.T) {
 	var b metrics.Breakdown
 	got := collect(t, tbl, ScanSpec{Needed: []int{0, 2}, B: &b})
 	checkRows(t, got, ref, []int{0, 2})
-	if tbl.PosMap().Stats().Inserts != 0 || tbl.Cache().Stats().Inserts != 0 {
+	if tbl.Segments()[0].PosMap().Stats().Inserts != 0 || tbl.Segments()[0].Cache().Stats().Inserts != 0 {
 		t.Error("disabled components were populated")
 	}
 	tbl.SetEnabled(true, true, true)
 	collect(t, tbl, ScanSpec{Needed: []int{0, 2}})
-	if tbl.PosMap().Stats().Inserts == 0 || tbl.Cache().Stats().Inserts == 0 {
+	if tbl.Segments()[0].PosMap().Stats().Inserts == 0 || tbl.Segments()[0].Cache().Stats().Inserts == 0 {
 		t.Error("re-enabled components not populated")
 	}
 }
@@ -462,15 +462,15 @@ func TestSetBudgetsEvict(t *testing.T) {
 	path, _ := genCSV(t, 2000)
 	tbl := newTable(t, path, InSituOptions())
 	collect(t, tbl, ScanSpec{Needed: []int{0, 1, 2, 3, 4}})
-	used := tbl.Cache().Stats().UsedBytes
+	used := tbl.Segments()[0].Cache().Stats().UsedBytes
 	if used == 0 {
 		t.Fatal("no cache use")
 	}
 	tbl.SetBudgets(100, 100)
-	if tbl.Cache().Stats().UsedBytes > 100 {
+	if tbl.Segments()[0].Cache().Stats().UsedBytes > 100 {
 		t.Error("cache not evicted after budget shrink")
 	}
-	if tbl.PosMap().Stats().UsedBytes > 100 {
+	if tbl.Segments()[0].PosMap().Stats().UsedBytes > 100 {
 		t.Error("posmap not evicted after budget shrink")
 	}
 }

@@ -371,11 +371,11 @@ func TestShardFaultIsolation(t *testing.T) {
 	if len(got) != perShard {
 		t.Fatalf("served %d rows before the shard-1 fault, want exactly shard 0's %d", len(got), perShard)
 	}
-	if tbl.Shards()[0].RowCount() != int64(perShard) {
-		t.Fatalf("clean shard 0 did not learn its row count: %d", tbl.Shards()[0].RowCount())
+	if tbl.Segments()[0].RowCount() != int64(perShard) {
+		t.Fatalf("clean shard 0 did not learn its row count: %d", tbl.Segments()[0].RowCount())
 	}
-	if tbl.Shards()[2].RowCount() != -1 {
-		t.Fatalf("shard 2 past the fault was touched: rowCount=%d", tbl.Shards()[2].RowCount())
+	if tbl.Segments()[2].RowCount() != -1 {
+		t.Fatalf("shard 2 past the fault was touched: rowCount=%d", tbl.Segments()[2].RowCount())
 	}
 	// With the fault gone the same sharded table serves everything.
 	uninstall()

@@ -64,8 +64,8 @@ func TestParallelEquivalence(t *testing.T) {
 		for pass := 0; pass < 3; pass++ {
 			var b metrics.Breakdown
 			rows := collect(t, tbl, ScanSpec{Needed: needed, B: &b})
-			pm := tbl.PosMap().Stats()
-			cs := tbl.Cache().Stats()
+			pm := tbl.Segments()[0].PosMap().Stats()
+			cs := tbl.Segments()[0].Cache().Stats()
 			out = append(out, passState{
 				rows:     rows,
 				counters: scanCounters(&b),
@@ -204,10 +204,10 @@ func TestParallelTinyBudgets(t *testing.T) {
 		got := collect(t, tbl, ScanSpec{Needed: needed})
 		checkRows(t, got, ref, needed)
 	}
-	if st := tbl.PosMap().Stats(); st.UsedBytes > 2048 {
+	if st := tbl.Segments()[0].PosMap().Stats(); st.UsedBytes > 2048 {
 		t.Errorf("posmap over budget: %+v", st)
 	}
-	if st := tbl.Cache().Stats(); st.UsedBytes > 2048 {
+	if st := tbl.Segments()[0].Cache().Stats(); st.UsedBytes > 2048 {
 		t.Errorf("cache over budget: %+v", st)
 	}
 }

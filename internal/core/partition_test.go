@@ -60,7 +60,7 @@ func writeTempCSV(t *testing.T, content string) string {
 	return path
 }
 
-func newPartitionedTable(t *testing.T, path string, opts Options, partBytes int64) *PartitionedTable {
+func newPartitionedTable(t *testing.T, path string, opts Options, partBytes int64) *Table {
 	t.Helper()
 	pt, err := NewPartitionedTable(path, testSchema, opts, partBytes)
 	if err != nil {
@@ -86,10 +86,10 @@ func TestPartitionedVsPlain(t *testing.T) {
 		pt := newPartitionedTable(t, path, opts, partBytes)
 
 		// 583 rows * 31 B = 18073 B → boundaries every 3968 B → 5 partitions.
-		if got := pt.NumShards(); got != 5 {
+		if got := len(pt.Segments()); got != 5 {
 			t.Fatalf("par=%d: NumShards=%d, want 5", par, got)
 		}
-		parts := pt.Partitions()
+		parts := pt.Segments()
 		var prevHi int64
 		for i, p := range parts {
 			lo, hi := p.Range()
@@ -147,7 +147,7 @@ func TestPartitionedUnaligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := pt.Partitions()
+	parts := pt.Segments()
 	if len(parts) < 3 {
 		t.Fatalf("only %d partitions, want several", len(parts))
 	}
@@ -182,7 +182,7 @@ func TestPartitionedAggBitwise(t *testing.T) {
 	env.Add("", "score", value.KindFloat)
 	env.Add("", "grp", value.KindInt)
 
-	drain := func(tbl RawTable) ([]string, [][]value.Value) {
+	drain := func(tbl *Table) ([]string, [][]value.Value) {
 		t.Helper()
 		sc, err := tbl.OpenScan(ScanSpec{Needed: []int{0, 2, 3}, B: &metrics.Breakdown{}})
 		if err != nil {
@@ -262,10 +262,10 @@ func TestPartitionedRefresh(t *testing.T) {
 	if err != nil || ch != watch.Appended {
 		t.Fatalf("Refresh after append = %v, %v", ch, err)
 	}
-	if got := pt.NumShards(); got != 5 {
+	if got := len(pt.Segments()); got != 5 {
 		t.Fatalf("append changed partition count to %d", got)
 	}
-	if grains := pt.Partitions()[0].PosMap().Stats().Grains; grains == 0 {
+	if grains := pt.Segments()[0].PosMap().Stats().Grains; grains == 0 {
 		t.Fatal("interior partition lost its positional map on append")
 	}
 	rows := collectScanner(t, pt, ScanSpec{Needed: []int{0}})
@@ -289,12 +289,40 @@ func TestPartitionedRefresh(t *testing.T) {
 	if err != nil || ch != watch.Rewritten {
 		t.Fatalf("Refresh after rewrite = %v, %v", ch, err)
 	}
-	if got := pt.NumShards(); got != 1 {
+	if got := len(pt.Segments()); got != 1 {
 		t.Fatalf("rediscovered %d partitions over a %d-byte file, want 1", got, sb.Len())
 	}
 	rows = collectScanner(t, pt, ScanSpec{Needed: []int{0}})
 	if len(rows) != 10 || rows[0][0].I != 1000 {
 		t.Fatalf("post-rewrite scan: %d rows, first=%v", len(rows), rows[0][0])
+	}
+
+	// The cumulative error counters are the table's, not the partitions': a
+	// rewrite discards the partitioning but keeps the tallies, exactly as a
+	// plain table does.
+	plain := newTable(t, path, parOptions(2))
+	if err := os.WriteFile(path, []byte("oops,name-0,1,1,true\n"+sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []*Table{pt, plain} {
+		if _, err := tbl.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		collectScanner(t, tbl, ScanSpec{Needed: []int{0}})
+		if m, d := tbl.ErrorCounts(); m != 1 || d != 0 {
+			t.Fatalf("ErrorCounts after one malformed field = (%d, %d), want (1, 0)", m, d)
+		}
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []*Table{pt, plain} {
+		if ch, err := tbl.Refresh(); err != nil || ch != watch.Rewritten {
+			t.Fatalf("Refresh after second rewrite = %v, %v", ch, err)
+		}
+		if m, d := tbl.ErrorCounts(); m != 1 || d != 0 {
+			t.Fatalf("ErrorCounts after a rewrite = (%d, %d), want the tallies kept at (1, 0)", m, d)
+		}
 	}
 }
 
@@ -338,7 +366,7 @@ func TestShardedRefreshBestEffort(t *testing.T) {
 	}
 	// Shard 2's append must have been adopted despite shard 1's failure: a
 	// direct re-probe sees nothing new.
-	if ch2, err2 := shTbl.Shards()[2].Refresh(); err2 != nil || ch2 != watch.Unchanged {
+	if ch2, err2 := shTbl.Segments()[2].Refresh(); err2 != nil || ch2 != watch.Unchanged {
 		t.Fatalf("shard 2 after best-effort refresh: %v, %v (append not adopted)", ch2, err2)
 	}
 }
@@ -436,7 +464,7 @@ func TestShardWindowLaziness(t *testing.T) {
 	}
 	// Shard 1 sits inside the window and may have been prefetched; shard 2
 	// is beyond it and must be untouched.
-	sh := shTbl.Shards()[2]
+	sh := shTbl.Segments()[2]
 	if n := sh.Queries(); n != 0 {
 		t.Errorf("shard beyond window saw %d scans", n)
 	}

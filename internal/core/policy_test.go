@@ -190,6 +190,62 @@ func TestMaxErrorsThreshold(t *testing.T) {
 	}
 }
 
+// TestMaxErrorsIsPerQueryNotPerSegment pins the error budget to the scan:
+// three chunk-aligned shards carry two malformed fields each, so with
+// max_errors = 4 the fifth event — in the third shard's first chunk — must
+// fail the query at the same chunk, after the same rows, with the same
+// committed-prefix structures as the shards' concatenation scanned as one
+// file. (A budget kept per shard scan would tolerate all six.)
+func TestMaxErrorsIsPerQueryNotPerSegment(t *testing.T) {
+	const perShard = 3 * oracleChunk
+	var all strings.Builder
+	var shardData [3]strings.Builder
+	for i := 0; i < 3*perShard; i++ {
+		id := fmt.Sprint(i)
+		if i%perShard == 5 || i%perShard == 2*oracleChunk+5 { // chunks 0 and 2 of every shard
+			id = "x" + id
+		}
+		line := fmt.Sprintf("%s,n%d,%g,%d,true\n", id, i, float64(i)*0.25, i%7)
+		all.WriteString(line)
+		shardData[i/perShard].WriteString(line)
+	}
+	single := writeFile(t, "all.csv", all.String())
+	var shards []string
+	for i := range shardData {
+		shards = append(shards, writeFile(t, fmt.Sprintf("shard-%d.csv", i), shardData[i].String()))
+	}
+	q := oracleQuery{needed: []int{0, 1, 2, 3, 4}}
+	for _, par := range []int{1, 4} {
+		opts := InSituOptions()
+		opts.ChunkRows, opts.Parallelism, opts.MaxErrors = oracleChunk, par, 4
+		sTbl := newTable(t, single, opts)
+		shTbl := newShardedTable(t, shards, opts)
+		for _, pass := range []string{"cold", "warm"} {
+			label := fmt.Sprintf("par=%d %s", par, pass)
+			want, got := runOracleScan(t, sTbl, q), runOracleScan(t, shTbl, q)
+			if !want.tooMany || !got.tooMany {
+				t.Fatalf("%s: too-many-errors single=%v sharded=%v, want both", label, want.tooMany, got.tooMany)
+			}
+			if len(got.rows) != 2*perShard {
+				t.Fatalf("%s: served %d rows before failing, want the first two shards' %d", label, len(got.rows), 2*perShard)
+			}
+			sameRows(t, label, got.rows, want.rows)
+			if got.counters != want.counters {
+				t.Fatalf("%s: counters %v, single file %v", label, got.counters, want.counters)
+			}
+			sameSegmentStructures(t, label, shTbl.Segments(), []int{perShard, perShard, perShard}, sTbl.Segments()[0])
+			sm, sd := sTbl.ErrorCounts()
+			m, d := shTbl.ErrorCounts()
+			if m != sm || d != sd {
+				t.Fatalf("%s: cumulative error counts (%d, %d), single file (%d, %d)", label, m, d, sm, sd)
+			}
+		}
+		if rc := shTbl.Segments()[2].RowCount(); rc != -1 {
+			t.Fatalf("par=%d: the failing shard learned a row count (%d)", par, rc)
+		}
+	}
+}
+
 // genDirtyCSV builds a larger deterministic mixed-quality file and returns
 // the path. Bad rows follow fixed strides so every configuration sees the
 // same input.

@@ -8,7 +8,6 @@ import (
 	"nodb/internal/expr"
 	"nodb/internal/faults"
 	"nodb/internal/metrics"
-	"nodb/internal/rawfile"
 	"nodb/internal/value"
 )
 
@@ -66,30 +65,39 @@ type Batch struct {
 	Sel     []int32
 }
 
-// Scan is an in-situ scan over a raw table. Not safe for concurrent use;
-// run one goroutine per scan. With Options.Parallelism > 1 the scan runs a
-// chunk pipeline internally — a splitter stage plus a bounded worker pool —
-// and an ordered merge re-sequences the chunks, so results, row order, and
-// adaptive-structure population are identical to the sequential scan.
+// Scan is the in-situ scan over a raw table: it walks the table's segments
+// in order, runs the chunk pipeline over each, and commits chunks strictly
+// in (segment, chunk) order, so results, row order and adaptive-structure
+// population are identical at any Parallelism, ShardAhead or pool size. Up
+// to ShardAhead segments are open at once — the current one plus prefetched
+// successors whose pipelines already process chunks — but commits, and
+// hence every structure update and the aggregation merge, happen only for
+// the current segment. An early Close (LIMIT, cancellation) never opens a
+// segment beyond the window, and prefetched segments publish nothing. Not
+// safe for concurrent use; run one goroutine per scan.
 type Scan struct {
 	t    *Table
 	b    *metrics.Breakdown
-	opts Options
+	opts Options // the table's options when the scan opened
 	spec ScanSpec
 
-	reader *rawfile.Reader
-	w      *chunkWorker // sequential worker (Parallelism == 1)
-	pl     *pipeline    // parallel pipeline (Parallelism > 1), started lazily
+	segs []*Segment // the table's segments when the scan opened
+	idx  int        // current segment
+	// open is the look-ahead window: open[i] serves segment idx+i. It is
+	// topped up when a segment becomes current (topped records for which one;
+	// -1 until the scan is first driven), never per chunk, so a prefetch open
+	// that fails is simply retried when its segment becomes current and
+	// surfaces exactly as it would without look-ahead.
+	open   []*pipeline
+	ahead  int
+	topped int
 
-	chunkID   int
-	rowsDone  int64
 	finished  bool
 	countOnly int64 // pending synthetic rows for zero-attribute scans
 
 	closed     bool
-	err        error               // sticky: a failed scan stays failed
-	fp         rawfile.Fingerprint // file version the scan is reading
-	errorsSeen int64               // malformed-input events, accumulated in commit order
+	err        error // sticky: a failed scan stays failed
+	errorsSeen int64 // malformed-input events, accumulated in commit order across segments
 
 	cur      *chunkOut // current committed chunk
 	selPos   int       // cursor into cur.sel for Next
@@ -98,12 +106,22 @@ type Scan struct {
 	countSel []int32 // identity selection for synthetic count batches
 
 	// Partial-aggregation merge state (spec.Agg != nil): groups keyed by
-	// their canonical grouping key, kept in first-seen commit order.
+	// their canonical grouping key, kept in first-seen commit order. Workers
+	// only build per-chunk partials; this table is touched solely at commit
+	// on the consumer goroutine, so partials fold across segment boundaries
+	// exactly as they fold across chunks — bitwise-identical float results.
 	aggTable  map[string]*PartialGroup
 	aggGroups []*PartialGroup
 }
 
-// NewScan opens a scan. Close must be called when done.
+// OpenScan is the pre-segment spelling of NewScan, kept only because
+// cmd/bench (frozen between benchmark PRs) calls it; the next benchmark PR
+// deletes the forwarder.
+func (t *Table) OpenScan(spec ScanSpec) (*Scan, error) { return t.NewScan(spec) }
+
+// NewScan opens a scan. Close must be called when done. The first segment
+// opens eagerly so a missing or unreadable file surfaces here; later ones
+// open as the walk (or its look-ahead window) reaches them.
 func (t *Table) NewScan(spec ScanSpec) (*Scan, error) {
 	// Spec validation below reports API misuse by the caller, before any file
 	// is touched — deliberately outside the faults taxonomy, which classifies
@@ -130,73 +148,60 @@ func (t *Table) NewScan(spec ScanSpec) (*Scan, error) {
 			return nil, fmt.Errorf("core: filter attribute %d not in Needed", a)
 		}
 	}
-	reader, err := rawfile.Open(t.path, spec.B)
+	segs, err := t.segments()
 	if err != nil {
 		return nil, err
 	}
-	t.restrict(reader)
-	fp, err := reader.Fingerprint()
-	if err != nil {
-		reader.Close()
-		return nil, err
-	}
-	// Warm-scan reuse check: if the file's fingerprint moved since the
-	// table's structures were learned, adapt them before scanning (the
-	// deterministic invalidation Refresh implements) and reopen — a rename
-	// replacement leaves an already-open descriptor pointing at the old
-	// inode. One attempt only: a mismatch that survives Refresh (e.g. an
-	// injected fault faking the fingerprint) is caught per chunk instead.
-	if sz, mt := t.snapMeta(); sz != fp.Size || mt != fp.ModTime {
-		reader.Close()
-		if _, err := t.Refresh(); err != nil {
-			return nil, err
-		}
-		if reader, err = rawfile.Open(t.path, spec.B); err != nil {
-			return nil, err
-		}
-		t.restrict(reader)
-		if fp, err = reader.Fingerprint(); err != nil {
-			reader.Close()
-			return nil, err
-		}
-	}
-	t.noteAccess(spec.Needed)
 	s := &Scan{
 		t:      t,
 		b:      spec.B,
 		opts:   t.Options(),
 		spec:   spec,
-		reader: reader,
-		fp:     fp,
+		segs:   segs,
+		topped: -1,
 		out:    make([]value.Value, len(spec.Needed)),
 	}
+	s.ahead = s.opts.ShardAhead
 	if s.opts.Parallelism <= 1 {
-		s.w = newChunkWorker(t, s.opts, spec, s.b, reader,
-			rawfile.NewChunkReader(reader, s.opts.BlockSize), true)
+		s.ahead = 1
 	}
+	first, err := s.openSegment(0)
+	if err != nil {
+		return nil, err
+	}
+	s.open = append(s.open, first)
 	return s, nil
 }
 
-// Close releases the scan's file handle and, for parallel scans, stops the
-// pipeline (discarding any chunks read ahead but not yet returned).
-// Idempotent: repeated Close calls return nil without touching the
-// already-released descriptor, and Next/NextBatch/DrainAgg after Close
-// report faults.ErrClosed instead of scanning.
+// openSegment opens segment i and wraps it in an idle pipeline.
+func (s *Scan) openSegment(i int) (*pipeline, error) {
+	seg := s.segs[i]
+	reader, fp, err := seg.open()
+	if err != nil {
+		return nil, err
+	}
+	seg.noteAccess(s.spec.Needed)
+	return newPipeline(s, seg, reader, fp), nil
+}
+
+// Close stops the pipelines of every open segment (discarding chunks read
+// ahead but not yet returned) and releases their file handles; segments
+// beyond the look-ahead window were never opened. Idempotent: repeated
+// Close calls return nil, and Next/NextBatch/DrainAgg after Close report
+// faults.ErrClosed instead of scanning.
 func (s *Scan) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.pl != nil {
-		s.pl.shutdown()
-		s.pl = nil
+	var first error
+	for _, p := range s.open {
+		if err := p.close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	if s.reader == nil {
-		return nil
-	}
-	err := s.reader.Close()
-	s.reader = nil
-	return err
+	s.open = nil
+	return first
 }
 
 // Next returns the next qualifying row in the Needed layout. The slice is
@@ -221,9 +226,7 @@ func (s *Scan) Next() ([]value.Value, bool, error) {
 		if s.finished {
 			return nil, false, nil
 		}
-		if err := s.advance(); err == io.EOF {
-			s.finished = true
-		} else if err != nil {
+		if err := s.advance(); err != nil {
 			return nil, false, err
 		}
 	}
@@ -232,9 +235,10 @@ func (s *Scan) Next() ([]value.Value, bool, error) {
 // NextBatch returns the next chunk of qualifying rows in columnar form,
 // skipping the per-row interface overhead of Next. The batch is valid until
 // the following NextBatch or Next call. A batch may have an empty selection
-// when the pushed-down filter disqualified every row of a chunk. Mixing
-// Next and NextBatch is allowed: NextBatch serves whatever of the current
-// chunk Next has not consumed yet.
+// when the pushed-down filter disqualified every row of a chunk, and never
+// spans segments (a chunk belongs to exactly one). Mixing Next and
+// NextBatch is allowed: NextBatch serves whatever of the current chunk Next
+// has not consumed yet.
 func (s *Scan) NextBatch() (*Batch, bool, error) {
 	if err := s.usable(); err != nil {
 		return nil, false, err
@@ -260,31 +264,14 @@ func (s *Scan) NextBatch() (*Batch, bool, error) {
 		if s.finished {
 			return nil, false, nil
 		}
-		if err := s.advance(); err == io.EOF {
-			s.finished = true
-		} else if err != nil {
+		if err := s.advance(); err != nil {
 			return nil, false, err
 		}
 	}
 }
 
-// Prefetch starts the scan's parallel pipeline early, before the consumer
-// asks for rows — the shard read-ahead window uses it so upcoming shards'
-// chunk tasks overlap with the current shard's. Side effects still publish
-// only at commit, which runs on the consumer goroutine in chunk order once
-// the scan is actually driven, so prefetching never changes rows, counters
-// or adaptive-structure contents; a prefetched scan that is closed
-// undrained (LIMIT, cancellation) publishes nothing. No-op for sequential
-// scans and for scans already started, failed or closed.
-func (s *Scan) Prefetch() {
-	if s.closed || s.err != nil || s.pl != nil || s.opts.Parallelism <= 1 {
-		return
-	}
-	s.pl = startPipeline(s)
-}
-
 // ctxErr reports the scan's context error, if the scan is cancellable and
-// its context is done. On cancellation the parallel pipeline is shut down so
+// its context is done. On cancellation every open pipeline is shut down so
 // read-ahead stops promptly; the error is sticky (the context stays done).
 func (s *Scan) ctxErr() error {
 	if s.spec.Ctx == nil {
@@ -292,8 +279,8 @@ func (s *Scan) ctxErr() error {
 	}
 	select {
 	case <-s.spec.Ctx.Done():
-		if s.pl != nil {
-			s.pl.shutdown()
+		for _, p := range s.open {
+			p.shutdown()
 		}
 		return s.spec.Ctx.Err()
 	default:
@@ -306,75 +293,105 @@ func (s *Scan) ctxErr() error {
 // mid-chunk, so re-entering would serve undefined data.
 func (s *Scan) usable() error {
 	if s.closed {
-		return faults.Closed(s.t.path)
+		return faults.Closed(s.t.location)
 	}
 	return s.err
 }
 
-// checkFile compares the file's current fingerprint (via fstat on the open
-// descriptor) against the version the scan started on. Called at every
-// chunk boundary so a file changing under a running scan surfaces as a
-// typed error instead of silently mixing two file versions.
-func (s *Scan) checkFile() error {
-	fp, err := s.reader.Fingerprint()
-	if err != nil {
-		return err
-	}
-	if fp == s.fp {
+// advance commits the walk's next chunk — into s.cur, or into the
+// aggregation merge table — and marks the scan finished past the last
+// segment. Any error is sticky: the scan refuses further use.
+func (s *Scan) advance() error {
+	err := s.nextChunk()
+	if err == io.EOF {
+		s.finished = true
 		return nil
 	}
-	if fp.Size < s.fp.Size {
-		return faults.Truncated(s.t.path,
-			fmt.Sprintf("size %d -> %d mid-scan", s.fp.Size, fp.Size))
-	}
-	return faults.Changed(s.t.path,
-		fmt.Sprintf("fingerprint moved mid-scan (size %d -> %d)", s.fp.Size, fp.Size))
-}
-
-// advance loads the next chunk (sequentially or from the pipeline's ordered
-// merge) into s.cur. Returns io.EOF when the scan is exhausted. Any other
-// error is sticky: the scan refuses further use.
-func (s *Scan) advance() error {
-	err := s.advanceChunk()
-	if err != nil && err != io.EOF {
-		s.err = err
-	}
+	s.err = err
 	return err
 }
 
-func (s *Scan) advanceChunk() error {
-	if err := s.ctxErr(); err != nil {
-		return err
+// current returns the pipeline of segment s.idx (io.EOF past the last
+// one), opening it if the look-ahead did not, and — once per segment — tops
+// the window up: segments idx+1..idx+ahead-1 get opened and their pipelines
+// started. The first top-up is deferred to the first drive (not NewScan) so
+// PushAgg, which must precede any pipeline start, still reaches every
+// segment.
+func (s *Scan) current() (*pipeline, error) {
+	if s.idx >= len(s.segs) {
+		return nil, io.EOF
 	}
-	if err := s.checkFile(); err != nil {
-		return err
+	if s.topped == s.idx {
+		return s.open[0], nil
 	}
-	// COUNT(*)-style scans need no attribute data: once the row count is
-	// known, answer the remainder from metadata without touching the file.
-	if len(s.spec.Needed) == 0 && s.spec.Filter == nil {
-		if total := s.t.RowCount(); total >= 0 {
-			s.countOnly = total - s.rowsDone
-			s.rowsDone = total
-			s.b.RowsScanned += s.countOnly
-			s.cur = nil
-			return io.EOF
+	if len(s.open) == 0 {
+		p, err := s.openSegment(s.idx)
+		if err != nil {
+			return nil, err
 		}
+		s.open = append(s.open, p)
 	}
-	if s.opts.Parallelism > 1 {
-		if s.pl == nil {
-			s.pl = startPipeline(s)
+	s.topped = s.idx
+	for n := len(s.open); n < s.ahead && s.idx+n < len(s.segs); n++ {
+		p, err := s.openSegment(s.idx + n)
+		if err != nil {
+			break
 		}
-		return s.advanceParallel()
+		p.start()
+		s.open = append(s.open, p)
 	}
-	return s.commit(s.w.run(s.chunkID, chunkSrc{kind: srcSeq}))
+	return s.open[0], nil
 }
 
-// commit applies one processed chunk's deferred side effects to the shared
-// structures and makes its batch current. Chunks are always committed in
-// file order — trivially in sequential mode, via the ordered merge in
-// parallel mode — so positional-map, cache and statistics population is
-// deterministic regardless of worker interleaving.
-func (s *Scan) commit(o *chunkOut) error {
+// nextChunk pulls the current segment's next chunk in chunk order and
+// commits it, stepping to the next segment when one is exhausted. Returns
+// io.EOF when every segment is.
+func (s *Scan) nextChunk() error {
+	for {
+		p, err := s.current()
+		if err != nil {
+			return err
+		}
+		if err := s.ctxErr(); err != nil {
+			return err
+		}
+		if err := p.checkFile(); err != nil {
+			return err
+		}
+		if s.cur != nil {
+			// The served batch is invalid from here on per the Next/NextBatch
+			// contract: its buffers go back to the chunk tasks.
+			p.recycle(s.cur)
+			s.cur, s.selPos = nil, 0
+		}
+		o, err := p.pull()
+		if err == nil {
+			err = s.commit(p, o)
+		}
+		if err != io.EOF {
+			return err
+		}
+		s.open = s.open[1:]
+		s.idx++
+		if err := p.close(); err != nil {
+			return err
+		}
+		if s.countOnly > 0 {
+			// Serve the segment's synthetic rows before touching the next
+			// segment, keeping the walk as lazy as for real rows.
+			return nil
+		}
+	}
+}
+
+// commit applies one processed chunk's deferred side effects to its
+// segment's structures and makes its batch current. Chunks are always
+// committed in file order — by construction with the inline executor, via
+// the ordered merge with the pool — so positional-map, cache and statistics
+// population is deterministic regardless of worker interleaving. Returns
+// io.EOF when the result ends the segment.
+func (s *Scan) commit(p *pipeline, o *chunkOut) error {
+	seg := p.seg
 	if o.b != nil {
 		s.b.Merge(o.b)
 	}
@@ -388,58 +405,57 @@ func (s *Scan) commit(o *chunkOut) error {
 			// Over budget: reject before applying this chunk's side effects,
 			// so the committed structure state is exactly the clean prefix
 			// and a warm rerun re-detects the same events in the same order.
-			return faults.TooMany(s.t.path, s.errorsSeen, s.opts.MaxErrors)
+			return faults.TooMany(seg.path, s.errorsSeen, s.opts.MaxErrors)
 		}
 	}
 	if o.base >= 0 {
-		s.t.learnChunkBase(o.c, o.base)
+		seg.learnChunkBase(o.c, o.base)
 	}
 	if o.nextBase >= 0 {
-		s.t.learnChunkBase(o.c+1, o.nextBase)
+		seg.learnChunkBase(o.c+1, o.nextBase)
 	}
 	if o.eof {
-		s.t.learnRowCount(s.rowsDone)
+		seg.learnRowCount(p.rowsDone)
 		return io.EOF
 	}
 	if o.countFinal >= 0 {
-		s.countOnly = o.countFinal - s.rowsDone
-		s.rowsDone = o.countFinal
-		s.b.RowsScanned += s.countOnly
-		s.cur = nil
+		n := o.countFinal - p.rowsDone
+		p.rowsDone = o.countFinal
+		s.countOnly += n
+		s.b.RowsScanned += n
 		return io.EOF
 	}
 	if len(o.learnDel) > 0 {
 		sw := metrics.NewStopwatch(s.b)
-		s.t.pm.Populate(o.c, o.base, o.nrows, o.learnDel, o.learnPos)
+		seg.pm.Populate(o.c, o.base, o.nrows, o.learnDel, o.learnPos)
 		sw.Stop(metrics.NoDB)
 	}
 	if len(o.frags) > 0 {
 		sw := metrics.NewStopwatch(s.b)
 		for _, f := range o.frags {
-			s.t.cache.Put(f)
+			seg.cache.Put(f)
 		}
 		sw.Stop(metrics.NoDB)
 	}
 	if len(o.samples) > 0 {
 		sw := metrics.NewStopwatch(s.b)
 		for _, smp := range o.samples {
-			if s.t.markStatsSeen(o.c, smp.attr) {
-				s.t.stats.ObserveBatch(smp.attr, smp.kind, smp.values)
+			if seg.markStatsSeen(o.c, smp.attr) {
+				seg.stats.ObserveBatch(smp.attr, smp.kind, smp.values)
 			}
 		}
 		sw.Stop(metrics.NoDB)
 	}
-	s.rowsDone += int64(o.nrows)
-	s.chunkID = o.c + 1
+	p.rowsDone += int64(o.nrows)
 	if s.spec.Agg != nil {
 		// Aggregation pushdown: the chunk's partial groups merge here, in
-		// file order, and its row batch is never served.
+		// file order, and its row batch is never served. First-seen groups
+		// are retained by pointer in the merge table, so the output's batch
+		// buffers recycle immediately.
 		s.mergePartials(o)
-		s.cur = nil
-		s.selPos = 0
+		p.recycle(o)
 		return nil
 	}
 	s.cur = o
-	s.selPos = 0
 	return nil
 }

@@ -30,8 +30,7 @@ func TestPoisonNoStall(t *testing.T) {
 		if _, ok, err := sc.Next(); err != nil || !ok {
 			t.Fatalf("first row: ok=%v err=%v", ok, err)
 		}
-		s := sc.(*Scan)
-		s.pl.results <- &chunkOut{c: c, poison: true,
+		sc.open[0].results <- &chunkOut{c: c, poison: true,
 			err: faults.Panicked(path, c, "injected last-resort panic"),
 			countFinal: -1, base: -1, nextBase: -1}
 
@@ -116,7 +115,7 @@ func TestPipelineTinyPool(t *testing.T) {
 	if got, want := scanCounters(&b), scanCounters(&seqB); got != want {
 		t.Errorf("counters with 1-worker pool = %v, sequential = %v", got, want)
 	}
-	pmSeq, pmPar := seqTbl.PosMap().Stats(), tbl.PosMap().Stats()
+	pmSeq, pmPar := seqTbl.Segments()[0].PosMap().Stats(), tbl.Segments()[0].PosMap().Stats()
 	if pmSeq.UsedBytes != pmPar.UsedBytes || pmSeq.Grains != pmPar.Grains {
 		t.Errorf("posmap differs: seq %+v pool %+v", pmSeq, pmPar)
 	}

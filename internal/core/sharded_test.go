@@ -57,7 +57,7 @@ func genShardFiles(t *testing.T, rows int, splits []int) (string, []string, [][]
 	return single, shardPaths, ref
 }
 
-func newShardedTable(t *testing.T, paths []string, opts Options) *ShardedTable {
+func newShardedTable(t *testing.T, paths []string, opts Options) *Table {
 	t.Helper()
 	st, err := NewShardedTable("shard-*.csv", paths, testSchema, opts)
 	if err != nil {
@@ -67,7 +67,7 @@ func newShardedTable(t *testing.T, paths []string, opts Options) *ShardedTable {
 }
 
 // collectScanner drains any Scanner into a row matrix.
-func collectScanner(t *testing.T, tbl RawTable, spec ScanSpec) [][]value.Value {
+func collectScanner(t *testing.T, tbl *Table, spec ScanSpec) [][]value.Value {
 	t.Helper()
 	if spec.B == nil {
 		spec.B = &metrics.Breakdown{}
@@ -149,11 +149,11 @@ func TestShardedScanEquivalence(t *testing.T) {
 		// shards holding an exact multiple of ChunkRows).
 		var chunkOff int
 		var byteOff int64
-		for si, sh := range shTbl.Shards() {
+		for si, sh := range shTbl.Segments() {
 			nchunks := int((sh.RowCount() + chunk - 1) / chunk)
 			for c := 0; c < nchunks; c++ {
 				shView, shOK := sh.PosMap().ViewChunk(c)
-				sView, sOK := sTbl.PosMap().ViewChunk(chunkOff + c)
+				sView, sOK := sTbl.Segments()[0].PosMap().ViewChunk(chunkOff + c)
 				if shOK != sOK {
 					t.Fatalf("par=%d shard %d chunk %d: map coverage %v vs single %v", par, si, c, shOK, sOK)
 				}
@@ -181,7 +181,7 @@ func TestShardedScanEquivalence(t *testing.T) {
 				}
 				for a := 0; a < testSchema.Len(); a++ {
 					shFrag, shHas := sh.Cache().Get(rawcache.Key{Chunk: c, Attr: a})
-					sFrag, sHas := sTbl.Cache().Get(rawcache.Key{Chunk: chunkOff + c, Attr: a})
+					sFrag, sHas := sTbl.Segments()[0].Cache().Get(rawcache.Key{Chunk: chunkOff + c, Attr: a})
 					if shHas != sHas {
 						t.Fatalf("par=%d shard %d chunk %d attr %d: cache presence %v vs %v", par, si, c, a, shHas, sHas)
 					}
@@ -262,7 +262,7 @@ func TestShardedAggPushdown(t *testing.T) {
 	env.Add("", "score", value.KindFloat)
 	env.Add("", "grp", value.KindInt)
 
-	drain := func(tbl RawTable) ([]string, [][]value.Value) {
+	drain := func(tbl *Table) ([]string, [][]value.Value) {
 		t.Helper()
 		b := &metrics.Breakdown{}
 		sc, err := tbl.OpenScan(ScanSpec{Needed: []int{0, 2, 3}, B: b})
@@ -335,7 +335,7 @@ func TestShardedEarlyClose(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for si, sh := range shTbl.Shards()[1:] {
+	for si, sh := range shTbl.Segments()[1:] {
 		if n := sh.Queries(); n != 0 {
 			t.Errorf("unreached shard %d saw %d scans", si+1, n)
 		}
@@ -356,14 +356,14 @@ func TestShardedBudgetSplit(t *testing.T) {
 	opts.PosMapBudget = 3000
 	opts.CacheBudget = 4 // smaller than the shard count: clamps to 1, not 0
 	shTbl := newShardedTable(t, shards, opts)
-	for _, sh := range shTbl.Shards() {
+	for _, sh := range shTbl.Segments() {
 		o := sh.Options()
 		if o.PosMapBudget != 1000 || o.CacheBudget != 1 {
 			t.Fatalf("shard budgets = (%d, %d), want (1000, 1)", o.PosMapBudget, o.CacheBudget)
 		}
 	}
 	shTbl.SetBudgets(0, 6000)
-	for _, sh := range shTbl.Shards() {
+	for _, sh := range shTbl.Segments() {
 		o := sh.Options()
 		if o.PosMapBudget != 0 || o.CacheBudget != 2000 {
 			t.Fatalf("shard budgets after SetBudgets = (%d, %d), want (0, 2000)", o.PosMapBudget, o.CacheBudget)
@@ -380,7 +380,7 @@ func TestShardedBudgetSplit(t *testing.T) {
 		t.Fatalf("table enables after SetEnabled = (%v, %v, %v), want (true, false, true)",
 			o.EnablePosMap, o.EnableCache, o.EnableStats)
 	}
-	for _, sh := range shTbl.Shards() {
+	for _, sh := range shTbl.Segments() {
 		so := sh.Options()
 		if !so.EnablePosMap || so.EnableCache || !so.EnableStats {
 			t.Fatal("shard enables did not follow SetEnabled")
@@ -412,7 +412,7 @@ func TestShardedRefresh(t *testing.T) {
 	if err != nil || ch != watch.Appended {
 		t.Fatalf("Refresh after append = %v, %v", ch, err)
 	}
-	grains0 := shTbl.Shards()[0].PosMap().Stats().Grains
+	grains0 := shTbl.Segments()[0].PosMap().Stats().Grains
 	if grains0 == 0 {
 		t.Fatal("shard 0 lost its positional map on another shard's append")
 	}

@@ -1,21 +1,22 @@
 // Package core implements the paper's primary contribution: the
-// PostgresRaw-style in-situ scan. A Table wraps a raw CSV file plus the
-// three adaptive auxiliary structures — positional map, binary cache and
-// on-the-fly statistics — all initially empty and populated exclusively as
-// a side effect of query execution. Scans practice selective tokenizing
+// PostgresRaw-style in-situ scan. A Table is an ordered list of segments —
+// byte ranges of raw CSV files — each owning the three adaptive auxiliary
+// structures: positional map, binary cache and on-the-fly statistics, all
+// initially empty and populated exclusively as a side effect of query
+// execution. One Scan walks the segments in order. Scans practice selective tokenizing
 // (stop splitting a row at the highest attribute a query needs), selective
 // parsing (convert only needed fields) and selective tuple formation
 // (convert projection-only attributes after the filter qualifies a row).
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 
 	"nodb/internal/faults"
-	"nodb/internal/posmap"
-	"nodb/internal/rawcache"
 	"nodb/internal/rawfile"
 	"nodb/internal/sched"
 	"nodb/internal/schema"
@@ -27,9 +28,13 @@ import (
 const (
 	DefaultChunkRows        = 1024
 	DefaultStatsSampleEvery = 16
-	// DefaultShardAhead is the default shard read-ahead window of sharded
-	// and byte-range-partitioned scans (current shard + one prefetched).
+	// DefaultShardAhead is the default segment look-ahead window of a scan
+	// (current segment + one prefetched).
 	DefaultShardAhead = 2
+	// DefaultAutoPartitionBytes is the partition size the catalog applies to
+	// single files large enough to benefit from byte-range partitioning when
+	// the user did not set partition_bytes explicitly.
+	DefaultAutoPartitionBytes int64 = 256 << 20
 )
 
 // Options configure a raw table. The enable flags and budgets are the demo's
@@ -47,7 +52,8 @@ type Options struct {
 	StatsSampleEvery int // sample one row in N for statistics; default 16
 	MapEveryNth      int // keep every Nth tokenized delimiter in the map; default 1 (all)
 	// Parallelism is the number of chunk-pipeline workers per scan;
-	// <= 0 defaults to GOMAXPROCS. 1 runs the original sequential scan.
+	// <= 0 defaults to GOMAXPROCS. 1 runs the same pipeline with an inline
+	// executor (no goroutine, no pool) on the consumer's goroutine.
 	// Any setting yields identical rows, row order, and adaptive-structure
 	// contents; with N > 1 the breakdown's time categories aggregate CPU
 	// time across workers rather than wall-clock time.
@@ -69,12 +75,13 @@ type Options struct {
 	// Scheduling never affects results: rows, counters and structure
 	// contents are byte-identical at any pool size.
 	Scheduler *sched.Pool
-	// ShardAhead is the shard read-ahead window of a sharded (or
-	// byte-range-partitioned) scan: up to ShardAhead shards have their
-	// pipelines running at once, while results and structure updates still
-	// commit strictly in shard order. <= 0 defaults to 2; 1 scans shards
-	// strictly one after another. Scans with Parallelism <= 1 always run
-	// serially (window 1), preserving the fully-lazy sequential path.
+	// ShardAhead is the segment look-ahead window of a scan over a
+	// multi-segment table: up to ShardAhead segments have their pipelines
+	// running at once, while results and structure updates still commit
+	// strictly in segment order. <= 0 defaults to 2; 1 scans segments
+	// strictly one after another. Scans with Parallelism <= 1 always use
+	// window 1: the inline executor has nothing to overlap, and opening
+	// files early would only cost laziness.
 	ShardAhead int
 }
 
@@ -153,101 +160,267 @@ func InSituOptions() Options {
 // re-tokenizes and re-parses the raw file, no auxiliary structures.
 func BaselineOptions() Options { return Options{} }
 
-// Table is a raw CSV file registered for in-situ querying.
+// Table is a raw table registered for in-situ querying: a location, a
+// schema, one option set and an ordered list of segments. The three
+// registration shapes differ only in how the list comes about — a plain
+// file is one whole-file segment, a glob is one segment per matched file,
+// and a byte-range layout (partBytes > 0) is N row-aligned ranges of one
+// file, discovered at first use so registration stays free of data I/O.
+// Everything else — options, budgets, error policy, refresh, scanning — is
+// the same loop over segments for every shape. Querying a multi-segment
+// table yields byte-identical rows and counters to querying the segments'
+// concatenated bytes as one file, and identical per-segment structure
+// contents when every segment but the last holds a multiple of ChunkRows
+// rows (the chunk decompositions then align).
 type Table struct {
-	path string
-	sch  *schema.Schema
+	location  string // file path, or the glob pattern of a multi-file table
+	sch       *schema.Schema
+	partBytes int64 // > 0: byte-range layout with partitions of about this size
+
+	mu   sync.Mutex
 	opts Options
-
-	pm    *posmap.Map
-	cache *rawcache.Cache
-	stats *stats.Collector
-
-	mu sync.Mutex
-	// Structural metadata learned on the first sequential scan. This is the
-	// chunk-granularity slice of the positional map (row starts of chunk
-	// boundaries plus the total row count); it is O(#chunks) and kept
-	// outside the LRU budget so that skipping and chunk addressing stay
-	// possible after evictions.
-	chunkBases []int64
-	rowCount   int64 // -1 until a scan reaches EOF
-	snap       watch.Snapshot
-
-	accessCounts []int64 // per-attribute access tally (monitoring panel)
-	queries      int64
-	statsSeen    map[[2]int]struct{} // (chunk, attr) pairs already sampled
-
-	errMalformed int64 // cumulative malformed-input events across scans
-	errDropped   int64 // cumulative rows dropped by on_error=skip
-
-	// Byte-range partition bounds: a ranged table serves only [lo, hi) of
-	// the file (both zero: the whole file; hi = 0 with lo > 0: through
-	// EOF). Scans restrict their readers to the range, so every offset
-	// above the reader — chunk bases, positional-map grains, cache
-	// fragments — is partition-relative, and the partition has its own
-	// chunk-ID territory and adaptive-structure segment.
-	lo, hi int64
+	// segs is the ordered segment list, immutable once set; nil while a
+	// byte-range layout's bounds are undiscovered (or were discarded by a
+	// rewrite).
+	segs []*Segment
+	// Cumulative malformed-input tallies across all scans. Kept here rather
+	// than per segment so they survive a rewrite rediscovering the segments.
+	errMalformed int64
+	errDropped   int64
 }
 
-// NewTable registers a raw file. The file must exist; its contents are not
-// read (zero data-to-query time — reading happens when the first query
-// scans).
+// RawTable is the pre-segment name of *Table, kept only because cmd/bench
+// (frozen between benchmark PRs) spells it; the next benchmark PR deletes
+// the alias.
+type RawTable = *Table
+
+// NewTable registers a raw file as a one-segment table. The file must
+// exist; its contents are not read (zero data-to-query time — reading
+// happens when the first query scans).
 func NewTable(path string, sch *schema.Schema, opts Options) (*Table, error) {
-	opts.fillDefaults()
-	snap, err := watch.Take(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err) //nodbvet:errtaxonomy-ok watch.Take returns faults-classified errors; %w preserves the taxonomy
+	return NewShardedTable(path, []string{path}, sch, opts)
+}
+
+// NewShardedTable registers the ordered files as one table, one segment
+// per file. Like NewTable, the files must exist but are not read. location
+// is the registered pattern (kept for display); paths must be non-empty and
+// ordered (scan output follows this order).
+func NewShardedTable(location string, paths []string, sch *schema.Schema, opts Options) (*Table, error) {
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("core: sharded table %q has no shard files", location)
 	}
-	t := &Table{
-		path:         path,
-		sch:          sch,
-		opts:         opts,
-		pm:           posmap.New(opts.PosMapBudget),
-		cache:        rawcache.New(opts.CacheBudget),
-		stats:        stats.NewCollector(sch.Len(), 0),
-		rowCount:     -1,
-		snap:         snap,
-		accessCounts: make([]int64, sch.Len()),
+	opts.fillDefaults()
+	t := &Table{location: location, sch: sch, opts: opts}
+	for _, p := range paths {
+		snap, err := watch.Take(p)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		t.segs = append(t.segs, t.newSegment(p, 0, 0, snap, len(paths)))
 	}
 	return t, nil
 }
 
-// NewTableRange registers the byte range [lo, hi) of a raw file as its own
-// table — one partition of a large single file. lo must fall on a row
-// start and hi one past a row terminator (or 0 for "through EOF"); the
-// partition then behaves exactly like a standalone file, with its own
-// chunk-base territory and adaptive-structure segment.
-func NewTableRange(path string, sch *schema.Schema, opts Options, lo, hi int64) (*Table, error) {
-	t, err := NewTable(path, sch, opts)
+// NewPartitionedTable registers path for in-situ querying as byte-range
+// segments of roughly partBytes bytes (rounded forward to row boundaries),
+// so a cold scan of one very large file spreads over the segment look-ahead
+// window exactly like a multi-file table. The file must exist; its contents
+// are not read until the first use discovers the bounds. Once discovered
+// the bounds are fixed until the file is rewritten (appends extend the last
+// segment, which is unbounded).
+func NewPartitionedTable(path string, sch *schema.Schema, opts Options, partBytes int64) (*Table, error) {
+	if partBytes <= 0 {
+		partBytes = DefaultAutoPartitionBytes
+	}
+	opts.fillDefaults()
+	if _, err := watch.Take(path); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &Table{location: path, sch: sch, opts: opts, partBytes: partBytes}, nil
+}
+
+// splitBudget divides a table-level byte budget evenly across n segments
+// (0 stays unlimited; tiny budgets never round down to unlimited).
+func splitBudget(total int64, n int) int64 {
+	if total <= 0 || n <= 1 {
+		return total
+	}
+	per := total / int64(n)
+	if per == 0 {
+		per = 1
+	}
+	return per
+}
+
+// findRowStart returns the offset of the first row starting at or after
+// target: the byte after the first '\n' at or past target-1. Returns size
+// when the remainder holds no terminator (the tail belongs to the previous
+// segment).
+func findRowStart(r *rawfile.Reader, target, size int64) (int64, error) {
+	const window = 64 << 10
+	buf := make([]byte, window)
+	//nodbvet:ctxloop-ok one-time structural discovery with no scan context; normally a single 64KB probe per boundary, not per-query work
+	for off := target - 1; off < size; off += int64(len(buf)) {
+		p := buf
+		if rem := size - off; rem < int64(len(p)) {
+			p = p[:rem]
+		}
+		n, err := r.ReadAt(p, off)
+		if n > 0 {
+			if i := bytes.IndexByte(p[:n], '\n'); i >= 0 {
+				return off + int64(i) + 1, nil
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return size, nil
+}
+
+// findBounds probes a small window around each nominal offset i*partBytes
+// of the file for the next row terminator, so every bound falls on a row
+// boundary and each range behaves like a standalone file. It returns the
+// lower bounds (the first is always 0) and a snapshot of the file version
+// they describe. The probes are structural setup — charged to no query's
+// breakdown, so a query against a byte-range table reports the same I/O
+// counters as against the plain file.
+func findBounds(path string, partBytes int64) ([]int64, watch.Snapshot, error) {
+	snap, serr := watch.Take(path)
+	if serr != nil {
+		return nil, snap, faults.IO(path, -1, serr)
+	}
+	r, err := rawfile.Open(path, nil)
+	if err != nil {
+		return nil, snap, err
+	}
+	defer r.Close()
+	size := r.Size()
+	bounds := []int64{0}
+	for target := partBytes; target < size; target += partBytes {
+		lo, err := findRowStart(r, target, size)
+		if err != nil {
+			return nil, snap, err
+		}
+		if lo >= size {
+			break
+		}
+		if lo <= bounds[len(bounds)-1] {
+			continue // a row longer than partBytes swallowed this target
+		}
+		bounds = append(bounds, lo)
+		if next := target + partBytes; lo >= next {
+			// The boundary overshot the next nominal target (giant row):
+			// realign so segments keep roughly partBytes each.
+			target = (lo / partBytes) * partBytes
+		}
+	}
+	return bounds, snap, nil
+}
+
+// segments returns the ordered segment list, discovering a byte-range
+// layout's bounds on first use. Discovery runs outside every lock: racing
+// first uses each probe the file and the first to finish publishes (bounds
+// are a function of the bytes, so the losers' work is merely redundant).
+// Failures are returned, not cached, so the next use retries.
+func (t *Table) segments() ([]*Segment, error) {
+	if segs := t.discovered(); segs != nil {
+		return segs, nil
+	}
+	bounds, snap, err := findBounds(t.location, t.partBytes)
 	if err != nil {
 		return nil, err
 	}
-	t.lo, t.hi = lo, hi
-	return t, nil
-}
-
-// Range reports the table's byte-range bounds ((0, 0) for a whole-file
-// table; hi = 0 with lo > 0 means "through EOF").
-func (t *Table) Range() (lo, hi int64) { return t.lo, t.hi }
-
-// restrict narrows a freshly opened reader to the table's byte range.
-func (t *Table) restrict(r *rawfile.Reader) {
-	if t.lo > 0 || t.hi > 0 {
-		r.Restrict(t.lo, t.hi)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.segs == nil {
+		for i, lo := range bounds {
+			hi := int64(0) // last segment: through EOF, so appends extend it
+			if i+1 < len(bounds) {
+				hi = bounds[i+1]
+			}
+			t.segs = append(t.segs, t.newSegment(t.location, lo, hi, snap, len(bounds)))
+		}
 	}
+	return t.segs, nil
 }
 
-// Path returns the raw file path.
-func (t *Table) Path() string { return t.path }
+// discovered returns the segment list as it stands, never touching the
+// file: nil while a byte-range layout's bounds are undiscovered.
+func (t *Table) discovered() []*Segment {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.segs
+}
 
-// Schema returns the table schema.
+// Path returns the registered location (file path, or the glob pattern of
+// a multi-file table).
+func (t *Table) Path() string { return t.location }
+
+// Schema returns the table schema (shared by every segment).
 func (t *Table) Schema() *schema.Schema { return t.sch }
 
-// Options returns the current option set.
+// PartitionBytes returns the byte-range layout's segment size target, 0
+// for whole-file segments.
+func (t *Table) PartitionBytes() int64 { return t.partBytes }
+
+// Options returns the current option set (budgets are table-level totals,
+// split evenly across segments).
 func (t *Table) Options() Options {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.opts
+}
+
+// Segments returns the segments in scan order (monitoring, tests),
+// discovering a byte-range layout's bounds if needed. Nil when discovery
+// fails.
+func (t *Table) Segments() []*Segment {
+	segs, err := t.segments()
+	if err != nil {
+		return nil
+	}
+	return segs
+}
+
+// NumSegments reports the segment count without ever touching the file: 0
+// while a byte-range layout's bounds are undiscovered. Catalog listings run
+// under the catalog lock and plan labels must be cheap to render, so both
+// use this instead of Segments.
+func (t *Table) NumSegments() int { return len(t.discovered()) }
+
+// StatsCollector returns the collector the planner estimates selectivities
+// from: the first segment's — an ordinary sample of the table, in the same
+// spirit as the paper's row-sampled statistics. Nil while a byte-range
+// layout is undiscovered: planning then uses default estimates rather than
+// probing the file.
+func (t *Table) StatsCollector() *stats.Collector {
+	segs := t.discovered()
+	if len(segs) == 0 {
+		return nil
+	}
+	return segs[0].stats
+}
+
+// RowCount returns the learned total row count, or -1 while any segment's
+// count is unknown.
+func (t *Table) RowCount() int64 {
+	segs := t.discovered()
+	if segs == nil {
+		return -1
+	}
+	var total int64
+	for _, g := range segs {
+		n := g.RowCount()
+		if n < 0 {
+			return -1
+		}
+		total += n
+	}
+	return total
 }
 
 // SetEnabled toggles the adaptive components at run time (the demo's
@@ -261,48 +434,39 @@ func (t *Table) SetEnabled(posMap, cache, statsOn bool) {
 	t.opts.EnableStats = statsOn
 }
 
-// SetBudgets adjusts the storage budgets (the demo's sliders), evicting
-// immediately when shrinking.
+// SetBudgets adjusts the storage budgets (the demo's sliders), re-splitting
+// them across the segments and evicting immediately when shrinking.
 func (t *Table) SetBudgets(posMapBudget, cacheBudget int64) {
 	t.mu.Lock()
 	t.opts.PosMapBudget = posMapBudget
 	t.opts.CacheBudget = cacheBudget
+	segs := t.segs
 	t.mu.Unlock()
-	t.pm.SetBudget(posMapBudget)
-	t.cache.SetBudget(cacheBudget)
+	for _, g := range segs {
+		g.pm.SetBudget(splitBudget(posMapBudget, len(segs)))
+		g.cache.SetBudget(splitBudget(cacheBudget, len(segs)))
+	}
 }
 
 // SetErrorPolicy changes the table's malformed-input policy at run time
 // (ALTER TABLE ... SET on_error/max_errors). Changing the policy discards
-// the positional map, cache, statistics and sampling bookkeeping: the
-// structures were learned under the old policy's view of the file (e.g.
-// skip suppresses learning on chunks with bad rows, null does not), and
-// keeping them would let a warm scan serve rows the new policy must drop
-// or fail on. Chunk bases and the row count are byte facts of the file,
-// independent of policy, and are kept.
+// the positional map, cache, statistics and sampling bookkeeping of every
+// segment: the structures were learned under the old policy's view of the
+// file (e.g. skip suppresses learning on chunks with bad rows, null does
+// not), and keeping them would let a warm scan serve rows the new policy
+// must drop or fail on. Chunk bases and row counts are byte facts of the
+// file, independent of policy, and are kept.
 func (t *Table) SetErrorPolicy(p OnErrorPolicy, maxErrors int64) {
 	t.mu.Lock()
 	changed := t.opts.OnError != p
 	t.opts.OnError = p
 	t.opts.MaxErrors = maxErrors
-	rc := t.rowCount
-	if changed {
-		t.statsSeen = nil
-	}
+	segs := t.segs
 	t.mu.Unlock()
-	if !changed {
-		return
-	}
-	t.pm.Clear()
-	t.cache.Clear()
-	t.stats.Clear()
-	if rc >= 0 {
-		// Re-seeding the row count is ALTER TABLE lifecycle reconfiguration:
-		// the structures were just discarded wholesale, no scan commit is in
-		// flight, and the count is a byte fact of the file independent of
-		// visit order.
-		//nodbvet:commitscope-ok ALTER TABLE reconfiguration re-seeds a byte fact after a full clear; no commit in flight
-		t.stats.SetRowCount(rc)
+	if changed {
+		for _, g := range segs {
+			g.forgetLearned()
+		}
 	}
 }
 
@@ -323,220 +487,34 @@ func (t *Table) ErrorCounts() (malformed, dropped int64) {
 	return t.errMalformed, t.errDropped
 }
 
-// snapMeta returns the size and mtime of the file version the table's
-// structures describe, for warm-scan fingerprint checks.
-func (t *Table) snapMeta() (size, modTime int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.snap.Size, t.snap.ModTime
-}
-
-// RowCount returns the learned row count, or -1 before any full scan.
-func (t *Table) RowCount() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rowCount
-}
-
-// NumChunks returns the number of known chunks (grows during the first
-// scan).
-func (t *Table) NumChunks() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.chunkBases)
-}
-
-// PosMap exposes the positional map (monitoring).
-func (t *Table) PosMap() *posmap.Map { return t.pm }
-
-// Cache exposes the binary cache (monitoring).
-func (t *Table) Cache() *rawcache.Cache { return t.cache }
-
-// StatsCollector exposes the on-the-fly statistics (planner, monitoring).
-func (t *Table) StatsCollector() *stats.Collector { return t.stats }
-
-// AccessCounts returns a copy of the per-attribute access tally.
-func (t *Table) AccessCounts() []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]int64, len(t.accessCounts))
-	copy(out, t.accessCounts)
-	return out
-}
-
-// Queries returns the number of scans started against this table.
-func (t *Table) Queries() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.queries
-}
-
-// noteAccess tallies one scan's attribute set.
-func (t *Table) noteAccess(attrs []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.queries++
-	for _, a := range attrs {
-		if a >= 0 && a < len(t.accessCounts) {
-			t.accessCounts[a]++
-		}
-	}
-}
-
-// markStatsSeen records that (chunk, attr) was sampled for statistics,
-// returning false if it already was (avoiding double counting across
-// repeated queries over the same data).
-func (t *Table) markStatsSeen(chunk, attr int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.statsSeen == nil {
-		t.statsSeen = make(map[[2]int]struct{})
-	}
-	k := [2]int{chunk, attr}
-	if _, ok := t.statsSeen[k]; ok {
-		return false
-	}
-	t.statsSeen[k] = struct{}{}
-	return true
-}
-
-// statsSeenPeek reports whether (chunk, attr) was already sampled, without
-// claiming it. Workers use this to skip sampling work on repeat scans; the
-// authoritative claim happens at commit via markStatsSeen.
-func (t *Table) statsSeenPeek(chunk, attr int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.statsSeen == nil {
-		return false
-	}
-	_, ok := t.statsSeen[[2]int{chunk, attr}]
-	return ok
-}
-
-// chunkBase returns the base offset of chunk c if known.
-func (t *Table) chunkBase(c int) (int64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c < len(t.chunkBases) {
-		return t.chunkBases[c], true
-	}
-	return 0, false
-}
-
-// learnChunkBase records the base offset of chunk c discovered during a
-// sequential scan. Appends are idempotent: offsets are a deterministic
-// function of the file contents.
-func (t *Table) learnChunkBase(c int, base int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c == len(t.chunkBases) {
-		t.chunkBases = append(t.chunkBases, base)
-	}
-}
-
-// learnRowCount records the total row count at EOF.
-func (t *Table) learnRowCount(n int64) {
-	t.mu.Lock()
-	changed := t.rowCount != n
-	t.rowCount = n
-	t.mu.Unlock()
-	if changed {
-		t.stats.SetRowCount(n)
-	}
-}
-
-// chunkRows returns the row count of chunk c when the total is known.
-func (t *Table) chunkRows(c int) (int, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rowCount < 0 {
-		return 0, false
-	}
-	start := int64(c) * int64(t.opts.ChunkRows)
-	if start >= t.rowCount {
-		return 0, true
-	}
-	n := t.rowCount - start
-	if n > int64(t.opts.ChunkRows) {
-		n = int64(t.opts.ChunkRows)
-	}
-	return int(n), true
-}
-
-// Refresh checks the underlying file for changes and adapts the auxiliary
-// structures: appends keep everything learned about the unchanged prefix
-// (only the trailing partial chunk is dropped); rewrites discard all
-// structures. Returns the detected change.
+// Refresh checks every segment's file for outside changes, in segment
+// order, and adapts each segment's structures. A failing segment does not
+// abort the pass: every remaining one still refreshes (best-effort), so one
+// bad file cannot leave the others stale. It returns the strongest change
+// any segment saw (missing > rewritten > appended > unchanged) and the
+// first error (which names its file). A rewrite invalidates a byte-range
+// layout's row boundaries, so its segments are discarded and rediscovered
+// on next use.
 func (t *Table) Refresh() (watch.Change, error) {
-	t.mu.Lock()
-	snap := t.snap
-	t.mu.Unlock()
-
-	change, newSnap, err := watch.Detect(t.path, snap)
+	segs, err := t.segments()
 	if err != nil {
-		// Detect errors are stat/read failures on the table file: classify
-		// them as I/O faults so on_error policies and errors.Is callers can
-		// act on them (the original error stays wrapped underneath).
-		return change, faults.IO(t.path, -1, err)
+		return watch.Unchanged, err
 	}
-	if change == watch.Appended && t.hi > 0 {
-		// An append happens past the end of the file, and this table covers
-		// a fixed interior range [lo, hi): its bytes are untouched, so
-		// everything learned stays valid. Adopt the new snapshot (warm
-		// scans compare against its mtime) and report no change.
-		change = watch.Unchanged
+	combined := watch.Unchanged
+	var firstErr error
+	for _, g := range segs {
+		change, err := g.Refresh()
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if change > combined {
+			combined = change
+		}
 	}
-	switch change {
-	case watch.Unchanged:
-		// Even "unchanged" can refresh the snapshot: a touched-but-identical
-		// file keeps its content fingerprint but moves its mtime, and warm
-		// scans compare against the stored snapshot's mtime.
+	if t.partBytes > 0 && combined >= watch.Rewritten {
 		t.mu.Lock()
-		t.snap = newSnap
+		t.segs = nil
 		t.mu.Unlock()
-		return change, nil
-	case watch.Appended:
-		t.mu.Lock()
-		// The previous final chunk may have been partial; re-learn it. All
-		// earlier chunks are untouched by an append.
-		lastFull := 0
-		if t.rowCount >= 0 {
-			lastFull = int(t.rowCount) / t.opts.ChunkRows // index of the partial chunk
-		} else if len(t.chunkBases) > 0 {
-			lastFull = len(t.chunkBases) - 1
-		}
-		if len(t.chunkBases) > lastFull {
-			t.chunkBases = t.chunkBases[:lastFull+1]
-		}
-		t.rowCount = -1
-		t.snap = newSnap
-		// Predicate-delete over the seen-set: every key is tested against the
-		// same cutoff and deletion is the only effect, so visit order cannot
-		// influence any output.
-		//nodbvet:unordered-ok order-insensitive predicate-delete; no emission or commit depends on visit order
-		for k := range t.statsSeen {
-			if k[0] >= lastFull {
-				delete(t.statsSeen, k)
-			}
-		}
-		t.mu.Unlock()
-		t.pm.DropChunk(lastFull)
-		t.cache.DropChunk(lastFull)
-		return change, nil
-	case watch.Rewritten:
-		t.mu.Lock()
-		t.chunkBases = nil
-		t.rowCount = -1
-		t.snap = newSnap
-		t.statsSeen = nil
-		t.mu.Unlock()
-		t.pm.Clear()
-		t.cache.Clear()
-		t.stats.Clear()
-		return change, nil
-	default: // watch.Missing
-		// The file vanished out from under the table: the same
-		// structures-vs-file disagreement class as a rewrite.
-		return change, faults.Changed(t.path, "raw file disappeared")
 	}
+	return combined, firstErr
 }

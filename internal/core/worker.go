@@ -17,15 +17,11 @@ import (
 
 // Chunk sources: where a worker gets the bytes of the chunk it processes.
 const (
-	// srcSeq reads through the worker's own ChunkReader, advancing
-	// sequentially. This is the Parallelism=1 path and behaves exactly like
-	// the original single-threaded scan.
-	srcSeq = iota
-	// srcFetch preads the chunk's known byte range directly (parallel
-	// workers over chunks whose base offsets were learned earlier).
-	srcFetch
+	// srcFetch preads the chunk's known byte range directly (chunks whose
+	// base offsets were learned earlier).
+	srcFetch = iota
 	// srcRaw processes a chunk already read and row-split by the pipeline's
-	// splitter stage (parallel scan over territory with unknown bases).
+	// step stage (territory with unknown bases).
 	srcRaw
 )
 
@@ -34,7 +30,7 @@ type chunkSrc struct {
 	kind  int
 	nrows int            // expected row count, when known
 	known bool           // row count known from table metadata
-	ch    *rawfile.Chunk // srcRaw: the split chunk handed over by the splitter
+	ch    *rawfile.Chunk // srcRaw: the split chunk handed over by step
 }
 
 // statsSample holds one attribute's sampled values for deferred statistics
@@ -92,27 +88,19 @@ type chunkOut struct {
 // chunkWorker processes chunks one at a time: read (or receive) raw bytes,
 // selectively tokenize, convert, filter, and collect deferred structure
 // updates. A worker owns all its scratch, so the pipeline can run one per
-// goroutine; the sequential scan embeds a single worker with reuse=true so
-// batch buffers recycle chunk to chunk exactly as the original scan did.
+// goroutine.
 type chunkWorker struct {
-	t    *Table
+	t    *Segment // the segment whose chunks this worker serves
 	opts Options
 	spec ScanSpec
 	b    *metrics.Breakdown
 	// reader is this worker's view of the raw file (stateless preads).
 	reader *rawfile.Reader
-	// cr is the sequential chunk reader; nil for pipeline workers, which
-	// fetch chunk ranges via rawfile.ReadChunkAt instead.
-	cr *rawfile.ChunkReader
-	// reuse recycles the single output across chunks. Only safe when each
-	// chunk is committed before the next one is processed (sequential
-	// mode). Pipeline workers instead draw committed outputs back from the
-	// free list; results in flight in the ordered merge are never touched.
-	reuse bool
-	out   *chunkOut      // recycled output when reuse
-	free  chan *chunkOut // recycled outputs from the pipeline's consumer
+	// free hands back committed outputs from the pipeline's consumer for
+	// reuse; results in flight in the ordered merge are never touched.
+	free chan *chunkOut
 
-	ch       rawfile.Chunk // scratch chunk for srcSeq / srcFetch
+	ch       rawfile.Chunk // scratch chunk for srcFetch
 	chunkBuf []byte        // pread buffer for srcFetch
 
 	// Per-chunk scratch, reused across chunks in both modes.
@@ -174,22 +162,20 @@ const (
 	stepGap
 )
 
-func newChunkWorker(t *Table, opts Options, spec ScanSpec, b *metrics.Breakdown,
-	reader *rawfile.Reader, cr *rawfile.ChunkReader, reuse bool) *chunkWorker {
+func newChunkWorker(t *Segment, opts Options, spec ScanSpec, reader *rawfile.Reader, free chan *chunkOut) *chunkWorker {
+	nattrs := t.sch.Len()
 	w := &chunkWorker{
 		t:         t,
 		opts:      opts,
 		spec:      spec,
-		b:         b,
 		reader:    reader,
-		cr:        cr,
-		reuse:     reuse,
+		free:      free,
 		frags:     make([]*rawcache.Fragment, len(spec.Needed)),
 		fullConv:  make([]bool, len(spec.Needed)),
 		filterIdx: make([]bool, len(spec.Needed)),
-		delimSlot: make([]int32, t.sch.Len()+1),
-		learnMark: make([]bool, t.sch.Len()+1),
-		learnSlot: make([]int32, t.sch.Len()+1),
+		delimSlot: make([]int32, nattrs+1),
+		learnMark: make([]bool, nattrs+1),
+		learnSlot: make([]int32, nattrs+1),
 		rowBuf:    make([]value.Value, len(spec.Needed)),
 	}
 	for i, a := range spec.Needed {
@@ -201,9 +187,6 @@ func newChunkWorker(t *Table, opts Options, spec ScanSpec, b *metrics.Breakdown,
 	}
 	if spec.NewBatchFilter != nil {
 		w.batchFilter = spec.NewBatchFilter()
-	}
-	if reuse {
-		w.out = &chunkOut{}
 	}
 	return w
 }
@@ -226,21 +209,15 @@ func resetOut(o *chunkOut, c int) *chunkOut {
 	return o
 }
 
-// newOut prepares the output for one chunk: the sequential scan's single
-// recycled output, a committed output drawn back from the pipeline's free
-// list, or a fresh one.
+// newOut prepares the output for one chunk: a committed output drawn back
+// from the pipeline's free list, or a fresh one.
 func (w *chunkWorker) newOut(c int) *chunkOut {
-	if w.reuse {
-		return resetOut(w.out, c)
+	select {
+	case o := <-w.free:
+		return resetOut(o, c)
+	default:
+		return terminal(c)
 	}
-	if w.free != nil {
-		select {
-		case o := <-w.free:
-			return resetOut(o, c)
-		default:
-		}
-	}
-	return &chunkOut{c: c, countFinal: -1, base: -1, nextBase: -1}
 }
 
 // run processes chunk c from the given source into a chunkOut. Errors and
@@ -253,8 +230,8 @@ func (w *chunkWorker) run(c int, src chunkSrc) (out *chunkOut) {
 	out = w.newOut(c)
 	defer func() {
 		if rec := recover(); rec != nil {
-			out = &chunkOut{c: c, countFinal: -1, base: -1, nextBase: -1,
-				err: faults.Panicked(w.t.path, c, rec)}
+			out = terminal(c)
+			out.err = faults.Panicked(w.t.path, c, rec)
 		}
 	}()
 	if err := w.process(c, src, out); err == io.EOF {
@@ -295,9 +272,6 @@ func chargeBreakdown(b *metrics.Breakdown, cat metrics.Category, fn func() error
 // end of data.
 func (w *chunkWorker) process(c int, src chunkSrc, out *chunkOut) error {
 	nrows, known := src.nrows, src.known
-	if src.kind == srcSeq {
-		nrows, known = w.t.chunkRows(c)
-	}
 	if !known {
 		// The total row count is unknown (e.g. an earlier scan was cancelled
 		// or closed early), but base offsets learned for this chunk and the
@@ -535,42 +509,29 @@ func (w *chunkWorker) serveMapped(c, nrows int, view *posmap.View, out *chunkOut
 // loadChunkBytes obtains the chunk's raw rows for tokenization, according
 // to the source kind.
 func (w *chunkWorker) loadChunkBytes(c int, src chunkSrc) (*rawfile.Chunk, error) {
-	switch src.kind {
-	case srcRaw:
+	if src.kind == srcRaw {
 		return src.ch, nil
-	case srcFetch:
-		base, ok := w.t.chunkBase(c)
-		if !ok {
-			// Planner-invariant breach, not a file fault: the splitter only
-			// dispatches srcFetch claims for chunks whose base is recorded.
-			//nodbvet:errtaxonomy-ok internal invariant violation, not an I/O-path error; a faults class would misdirect retry/quarantine policy
-			return nil, fmt.Errorf("core: internal: chunk %d dispatched to a worker without a base offset", c)
-		}
-		limit := w.reader.Size()
-		if next, ok2 := w.t.chunkBase(c + 1); ok2 {
-			limit = next
-		}
-		err := w.charge(metrics.Tokenizing, func() error {
-			var e error
-			w.chunkBuf, e = rawfile.ReadChunkAt(w.reader, base, limit, w.opts.ChunkRows, w.chunkBuf, &w.ch)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &w.ch, nil
-	default: // srcSeq
-		if base, ok := w.t.chunkBase(c); ok && w.cr.Offset() != base {
-			w.cr.SeekTo(base)
-		}
-		err := w.charge(metrics.Tokenizing, func() error {
-			return w.cr.NextChunk(w.opts.ChunkRows, &w.ch)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &w.ch, nil
 	}
+	base, ok := w.t.chunkBase(c)
+	if !ok {
+		// Planner-invariant breach, not a file fault: step only yields
+		// srcFetch claims for chunks whose base is recorded.
+		//nodbvet:errtaxonomy-ok internal invariant violation, not an I/O-path error; a faults class would misdirect retry/quarantine policy
+		return nil, fmt.Errorf("core: internal: chunk %d dispatched to a worker without a base offset", c)
+	}
+	limit := w.reader.Size()
+	if next, ok2 := w.t.chunkBase(c + 1); ok2 {
+		limit = next
+	}
+	err := w.charge(metrics.Tokenizing, func() error {
+		var e error
+		w.chunkBuf, e = rawfile.ReadChunkAt(w.reader, base, limit, w.opts.ChunkRows, w.chunkBuf, &w.ch)
+		return e
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &w.ch, nil
 }
 
 // serveTokenize reads the chunk's rows and tokenizes whatever the

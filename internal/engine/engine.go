@@ -99,18 +99,17 @@ func ForEachBatchRow(in BatchOperator, fn func(row []value.Value) error) error {
 	}
 }
 
-// RawScan adapts a core scan (in-situ or baseline raw access, single-file
-// or sharded) to the operator interface. Filter pushdown happened at
-// construction via the ScanSpec.
+// RawScan adapts a core scan (in-situ or baseline raw access, whatever the
+// table's segment layout) to the operator interface. Filter pushdown
+// happened at construction via the ScanSpec.
 type RawScan struct {
-	sc    core.Scanner
+	sc    *core.Scan
 	batch Batch
 }
 
-// NewRawScan opens the in-situ scan. Sharded tables open a concatenating
-// scan that runs the chunk pipeline per shard, in shard order.
-func NewRawScan(t core.RawTable, spec core.ScanSpec) (*RawScan, error) {
-	sc, err := t.OpenScan(spec)
+// NewRawScan opens the in-situ scan.
+func NewRawScan(t *core.Table, spec core.ScanSpec) (*RawScan, error) {
+	sc, err := t.NewScan(spec)
 	if err != nil {
 		return nil, err
 	}

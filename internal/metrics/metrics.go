@@ -83,8 +83,8 @@ type Breakdown struct {
 	// Scheduler counters. SchedTasks counts committed chunks that ran as
 	// tasks on the shared DB-level worker pool; it is charged on the
 	// per-chunk breakdown and folded in at commit, so it is deterministic
-	// for a given table layout at any MaxWorkers setting (0 for sequential
-	// scans, which never enter the pool).
+	// for a given table layout at any MaxWorkers setting (0 at Parallelism 1,
+	// whose inline executor never enters the pool).
 	SchedTasks int64
 }
 

@@ -52,31 +52,33 @@ type Panel struct {
 	RowsDropped     int64
 }
 
-// Snapshot captures the current panel for a raw table.
-func Snapshot(name string, t *core.Table) *Panel {
-	sch := t.Schema()
+// Snapshot captures the current panel for one segment of a raw table (a
+// plain file has exactly one). The error policy and the lifetime error
+// counters are the table's: they are kept once per table, not per segment.
+func Snapshot(name string, seg *core.Segment) *Panel {
+	sch := seg.Table().Schema()
 	nattrs := sch.Len()
-	nchunks := t.NumChunks()
+	nchunks := seg.NumChunks()
 	p := &Panel{
 		Table:     name,
-		RowCount:  t.RowCount(),
+		RowCount:  seg.RowCount(),
 		NumChunks: nchunks,
-		Queries:   t.Queries(),
-		PosMap:    t.PosMap().Stats(),
-		Cache:     t.Cache().Stats(),
+		Queries:   seg.Queries(),
+		PosMap:    seg.PosMap().Stats(),
+		Cache:     seg.Cache().Stats(),
 	}
-	opts := t.Options()
+	opts := seg.Options()
 	p.OnError, p.MaxErrors = opts.OnError, opts.MaxErrors
-	p.MalformedFields, p.RowsDropped = t.ErrorCounts()
+	p.MalformedFields, p.RowsDropped = seg.Table().ErrorCounts()
 	for i := 0; i < nattrs; i++ {
 		p.AttrNames = append(p.AttrNames, sch.Col(i).Name)
 	}
-	p.PosMapCoverage = t.PosMap().Coverage(nattrs, nchunks)
-	p.CacheCoverage = t.Cache().Coverage(nattrs, nchunks)
-	p.AccessCounts = t.AccessCounts()
+	p.PosMapCoverage = seg.PosMap().Coverage(nattrs, nchunks)
+	p.CacheCoverage = seg.Cache().Coverage(nattrs, nchunks)
+	p.AccessCounts = seg.AccessCounts()
 
-	mapCov := t.PosMap().ChunkCovered(nchunks)
-	cacheCov := t.Cache().ChunkCovered(nchunks)
+	mapCov := seg.PosMap().ChunkCovered(nchunks)
+	cacheCov := seg.Cache().ChunkCovered(nchunks)
 	p.FileCoverage = make([]CoverKind, nchunks)
 	for c := 0; c < nchunks; c++ {
 		switch {
@@ -89,7 +91,7 @@ func Snapshot(name string, t *core.Table) *Panel {
 		}
 	}
 	for i := 0; i < nattrs; i++ {
-		if snap, ok := t.StatsCollector().Snapshot(i); ok {
+		if snap, ok := seg.StatsCollector().Snapshot(i); ok {
 			p.StatsAttrs = append(p.StatsAttrs, snap)
 		}
 	}

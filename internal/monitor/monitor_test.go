@@ -58,7 +58,7 @@ func scanAll(t *testing.T, tbl *core.Table, attrs []int) {
 
 func TestSnapshotFresh(t *testing.T) {
 	tbl := setupTable(t, 500)
-	p := Snapshot("fresh", tbl)
+	p := Snapshot("fresh", tbl.Segments()[0])
 	if p.RowCount != -1 || p.NumChunks != 0 || p.Queries != 0 {
 		t.Errorf("fresh panel: %+v", p)
 	}
@@ -76,7 +76,7 @@ func TestSnapshotAfterQueries(t *testing.T) {
 	scanAll(t, tbl, []int{0})
 	scanAll(t, tbl, []int{0, 2})
 
-	p := Snapshot("t", tbl)
+	p := Snapshot("t", tbl.Segments()[0])
 	if p.RowCount != 1000 || p.Queries != 2 {
 		t.Errorf("panel: rows=%d queries=%d", p.RowCount, p.Queries)
 	}
@@ -153,13 +153,13 @@ func TestErrorsPanelLine(t *testing.T) {
 	tbl := setupTable(t, 200)
 
 	// Clean table, default policy: the panel keeps its classic shape.
-	if out := Snapshot("t", tbl).String(); strings.Contains(out, "errors:") {
+	if out := Snapshot("t", tbl.Segments()[0]).String(); strings.Contains(out, "errors:") {
 		t.Errorf("clean panel shows an errors line:\n%s", out)
 	}
 
 	// A non-default policy alone surfaces the line, before any scan.
 	tbl.SetErrorPolicy(core.OnErrorSkip, 5)
-	p := Snapshot("t", tbl)
+	p := Snapshot("t", tbl.Segments()[0])
 	if p.OnError != core.OnErrorSkip || p.MaxErrors != 5 {
 		t.Fatalf("panel policy=%v max=%d", p.OnError, p.MaxErrors)
 	}
@@ -189,7 +189,7 @@ func TestErrorsPanelCountsMalformed(t *testing.T) {
 	}
 	scanAll(t, tbl, []int{0})
 
-	p := Snapshot("bad", tbl)
+	p := Snapshot("bad", tbl.Segments()[0])
 	if p.MalformedFields == 0 {
 		t.Fatalf("malformed counter not populated: %+v", p)
 	}

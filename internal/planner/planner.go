@@ -423,7 +423,7 @@ func (pb *builder) estimator(ti int) *stats.Collector {
 	switch h := pb.tables[ti].entry.Handle.(type) {
 	case *storage.Table:
 		return h.Stats()
-	case core.RawTable:
+	case *core.Table:
 		return h.StatsCollector()
 	default:
 		return nil
@@ -523,16 +523,15 @@ func (pb *builder) buildScan(ti int, conjuncts []sql.Expr) (engine.Operator, *en
 	switch h := t.entry.Handle.(type) {
 	case *storage.Table:
 		return pb.buildLoadedScan(ti, h, conjuncts)
-	case core.RawTable:
+	case *core.Table:
 		return pb.buildRawScan(ti, h, conjuncts)
 	default:
 		return nil, nil, fmt.Errorf("planner: table %q has no storage handle", t.qual)
 	}
 }
 
-// buildRawScan wires pushdown into the in-situ scan spec (single-file or
-// sharded raw tables alike).
-func (pb *builder) buildRawScan(ti int, h core.RawTable, conjuncts []sql.Expr) (engine.Operator, *enode, error) {
+// buildRawScan wires pushdown into the in-situ scan spec.
+func (pb *builder) buildRawScan(ti int, h *core.Table, conjuncts []sql.Expr) (engine.Operator, *enode, error) {
 	t := pb.tables[ti]
 	spec := core.ScanSpec{Needed: t.refs, B: pb.b, Ctx: pb.ctx}
 	if len(conjuncts) > 0 {
@@ -585,17 +584,16 @@ func (pb *builder) buildRawScan(ti int, h core.RawTable, conjuncts []sql.Expr) (
 		return nil, nil, err
 	}
 	label := fmt.Sprintf("RawScan(%s mode=%s attrs=%s", t.qual, t.entry.Mode, attrNames(t))
-	if sh, sharded := h.(*core.ShardedTable); sharded {
-		label += fmt.Sprintf(" shards=%d", sh.NumShards())
-	}
-	if pt, part := h.(*core.PartitionedTable); part {
-		// Boundary discovery is lazy; EXPLAIN must not do file I/O under the
-		// catalog lock, so an unscanned table shows "?" instead of a count.
-		if n := pt.DiscoveredPartitions(); n > 0 {
-			label += fmt.Sprintf(" partitions=%d", n)
-		} else {
-			label += " partitions=?"
-		}
+	// Segment layout, from discovered facts only: bounds of a byte-range
+	// layout are found lazily and rendering a plan label must not probe the
+	// file, so an undiscovered table shows "?" instead of a count.
+	switch n := h.NumSegments(); {
+	case h.PartitionBytes() > 0 && n == 0:
+		label += " partitions=?"
+	case h.PartitionBytes() > 0:
+		label += fmt.Sprintf(" partitions=%d", n)
+	case n > 1:
+		label += fmt.Sprintf(" shards=%d", n)
 	}
 	hopts := h.Options()
 	// Static scheduler facts only: pool telemetry (queue depths, steals) is

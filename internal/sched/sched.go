@@ -37,7 +37,7 @@ type Pool struct {
 	depth   int      // queued tasks across all queues
 
 	// Telemetry (guarded by mu, surfaced via Stats).
-	tasksRun  uint64
+	tasksRun  uint64 // tasks claimed (counted in next)
 	steals    uint64 // claims that skipped ahead past the round-robin head
 	maxDepth  int
 	maxQueues int
@@ -75,7 +75,7 @@ type Stats struct {
 	Running    int    // live workers right now
 	Queues     int    // registered queues right now
 	Queued     int    // tasks waiting across all queues
-	TasksRun   uint64 // tasks executed since the pool was created
+	TasksRun   uint64 // tasks claimed for execution since the pool was created
 	Steals     uint64 // claims taken from a queue past the rotation head
 	MaxDepth   int    // high-water mark of Queued
 	MaxQueues  int    // high-water mark of Queues
@@ -189,6 +189,11 @@ func (p *Pool) next() (*Queue, Task) {
 				q.tasks, q.head = q.tasks[:0], 0
 			}
 			p.depth--
+			// Counted at claim, under the lock every Stats reader takes: a
+			// caller that synchronizes on a task's own side effect then
+			// always sees that task counted, which a bump after t() returns
+			// cannot promise.
+			p.tasksRun++
 			if i != 0 {
 				p.steals++
 			}
@@ -220,7 +225,6 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 		t()
 		p.mu.Lock()
-		p.tasksRun++
 		q.running--
 		if q.closed && q.running == 0 {
 			q.idle.Broadcast()

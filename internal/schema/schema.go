@@ -135,9 +135,8 @@ type Table struct {
 	Path   string // raw file path (in-situ/baseline) or original source (load-first)
 
 	// Handle is an opaque pointer owned by the engine layer: *core.Table
-	// (single file) or *core.ShardedTable (glob location) for raw access
-	// modes, *storage.Table for load-first tables. The catalog does not
-	// interpret it.
+	// for raw access modes (whatever the segment layout), *storage.Table for
+	// load-first tables. The catalog does not interpret it.
 	Handle any
 }
 

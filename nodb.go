@@ -55,7 +55,7 @@ type Config struct {
 	DataDir string
 	// Parallelism is the default number of chunk-pipeline workers per
 	// in-situ scan for tables registered on this DB; <= 0 uses GOMAXPROCS.
-	// 1 disables the pipeline (the original sequential scan). Results, row
+	// 1 runs the pipeline inline on the caller's goroutine. Results, row
 	// order and adaptive-structure contents are identical at any setting;
 	// per-table RawOptions.Parallelism overrides this default. GROUP BY and
 	// aggregate queries over a single raw table additionally push partial
@@ -285,18 +285,18 @@ type RawOptions struct {
 	StatsSampleEvery int // sample one row in N for statistics, default 16
 	// Parallelism is the number of chunk-pipeline workers per scan of this
 	// table. 0 inherits the DB's Config.Parallelism (which itself defaults
-	// to GOMAXPROCS); 1 runs the sequential scan.
+	// to GOMAXPROCS); 1 runs the pipeline inline on the caller's goroutine.
 	Parallelism int
-	// ShardAhead is the number of shards (or byte-range partitions) a
-	// sharded scan keeps in flight concurrently: the current shard plus
-	// ShardAhead-1 prefetched ones, merged strictly in shard order. 0 uses
-	// the default (2); 1 restores fully serial shard dispatch. Ignored when
-	// Parallelism is 1. The DDL equivalent is WITH (shard_ahead = N).
+	// ShardAhead is the number of segments (files of a glob, byte-range
+	// partitions) a scan keeps in flight concurrently: the current one plus
+	// ShardAhead-1 prefetched ones, merged strictly in segment order. 0 uses
+	// the default (2); 1 scans segments strictly one after another. Ignored
+	// when Parallelism is 1. The DDL equivalent is WITH (shard_ahead = N).
 	ShardAhead int
-	// PartitionBytes splits a single-file registration into byte-range
-	// partitions of roughly this many bytes (rounded forward to row
+	// PartitionBytes serves a single-file registration as byte-range
+	// segments of roughly this many bytes (rounded forward to row
 	// boundaries at first scan), each with its own positional-map/cache
-	// territory, scanned like shards of a sharded table. 0 partitions
+	// territory, scanned like the files of a glob. 0 partitions
 	// automatically when the file is at least 256 MiB; < 0 disables
 	// partitioning. Ignored for multi-file (glob) locations. The DDL
 	// equivalent is WITH (partition_bytes = N).
@@ -307,8 +307,8 @@ type RawOptions struct {
 	// offending row. The DDL equivalent is WITH (on_error = '...').
 	OnError string
 	// MaxErrors, when > 0, fails a query once more than MaxErrors
-	// malformed-input events accumulated during its scan of this table
-	// (per shard for sharded tables). 0 = unlimited.
+	// malformed-input events accumulated during its scan of this table,
+	// whatever the table's segment layout. 0 = unlimited.
 	MaxErrors int64
 }
 
@@ -488,14 +488,14 @@ func (db *DB) SetComponents(name string, posMap, cache, stats bool) error {
 	return nil
 }
 
-func (db *DB) rawTable(name string) (core.RawTable, error) {
+func (db *DB) rawTable(name string) (*core.Table, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	entry, ok := db.cat.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("nodb: unknown table %q", name)
 	}
-	t, ok := entry.Handle.(core.RawTable)
+	t, ok := entry.Handle.(*core.Table)
 	if !ok {
 		return nil, fmt.Errorf("nodb: table %q is not a raw table", name)
 	}

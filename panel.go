@@ -3,7 +3,6 @@ package nodb
 import (
 	"fmt"
 
-	"nodb/internal/core"
 	"nodb/internal/monitor"
 )
 
@@ -13,8 +12,8 @@ import (
 type Panel = monitor.Panel
 
 // Panel captures the current monitoring panel for a raw table. For a
-// sharded (multi-file) table it returns the first shard's panel; Panels
-// returns every shard's.
+// multi-segment table it returns the first segment's panel; Panels returns
+// every segment's.
 func (db *DB) Panel(name string) (*Panel, error) {
 	ps, err := db.Panels(name)
 	if err != nil {
@@ -29,41 +28,31 @@ func (db *DB) PoolPanel() string {
 	return monitor.PoolPanel(db.sched.Stats())
 }
 
-// Panels captures the monitoring panels of a raw table's shards, one per
-// shard file in scan order (a single-file table yields exactly one panel; a
-// byte-range partitioned table yields one panel per partition, labeled with
-// its byte span).
+// Panels captures the monitoring panels of a raw table, one per segment in
+// scan order: a single-file table yields exactly one, a multi-file table
+// one per file (labeled with its path), a byte-range partitioned table one
+// per partition (labeled with its byte span).
 func (db *DB) Panels(name string) ([]*Panel, error) {
 	t, err := db.rawTable(name)
 	if err != nil {
 		return nil, err
 	}
-	switch h := t.(type) {
-	case *core.Table:
-		return []*Panel{monitor.Snapshot(name, h)}, nil
-	case *core.ShardedTable:
-		shards := h.Shards()
-		out := make([]*Panel, len(shards))
-		for i, sh := range shards {
-			out[i] = monitor.Snapshot(fmt.Sprintf("%s[%d/%d] %s", name, i, len(shards), sh.Path()), sh)
-		}
-		return out, nil
-	case *core.PartitionedTable:
-		parts := h.Partitions()
-		if parts == nil {
-			return nil, fmt.Errorf("nodb: table %q: partition discovery failed", name)
-		}
-		out := make([]*Panel, len(parts))
-		for i, p := range parts {
-			lo, hi := p.Range()
-			span := fmt.Sprintf("bytes %d-", lo)
-			if hi > 0 {
-				span = fmt.Sprintf("bytes %d-%d", lo, hi)
-			}
-			out[i] = monitor.Snapshot(fmt.Sprintf("%s[%d/%d] %s", name, i, len(parts), span), p)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("nodb: table %q has an unknown raw handle", name)
+	segs := t.Segments()
+	if segs == nil {
+		return nil, fmt.Errorf("nodb: table %q: partition discovery failed", name)
 	}
+	out := make([]*Panel, len(segs))
+	for i, g := range segs {
+		label := name
+		switch lo, hi := g.Range(); {
+		case t.PartitionBytes() > 0 && hi > 0:
+			label = fmt.Sprintf("%s[%d/%d] bytes %d-%d", name, i, len(segs), lo, hi)
+		case t.PartitionBytes() > 0:
+			label = fmt.Sprintf("%s[%d/%d] bytes %d-", name, i, len(segs), lo)
+		case len(segs) > 1:
+			label = fmt.Sprintf("%s[%d/%d] %s", name, i, len(segs), g.Path())
+		}
+		out[i] = monitor.Snapshot(label, g)
+	}
+	return out, nil
 }

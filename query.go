@@ -42,7 +42,7 @@ type QueryStats struct {
 	MapJumpFields   int64
 	MapNearFields   int64 // fields located via a nearby map entry (short gap tokenize)
 	PartialGroups   int64 // partial group states folded by scan workers (aggregation pushdown)
-	SchedTasks      int64 // chunk tasks this query ran on the shared scheduler pool (0 for sequential scans; deterministic for a given file layout at any MaxWorkers)
+	SchedTasks      int64 // chunk tasks this query ran on the shared scheduler pool (0 at Parallelism 1, which runs them inline; deterministic for a given file layout at any MaxWorkers)
 	VecRows         int64 // (row, expression) evaluations served by the vectorized (column-at-a-time) path
 	PlanCacheHits   int64 // 1 when this query reused a cached plan skeleton (prepared statement or plan cache)
 
@@ -222,10 +222,10 @@ func (db *DB) execPrepared(ctx context.Context, prep *planner.Prepared, cacheHit
 		return nil, err
 	}
 
-	// Auto-refresh referenced raw tables (the demo's Updates scenario);
-	// sharded tables refresh shard by shard.
+	// Auto-refresh referenced raw tables (the demo's Updates scenario),
+	// segment by segment.
 	for _, e := range entries {
-		if t, isRaw := e.Handle.(core.RawTable); isRaw {
+		if t, isRaw := e.Handle.(*core.Table); isRaw {
 			if _, err := t.Refresh(); err != nil {
 				return fail(err)
 			}
@@ -234,9 +234,10 @@ func (db *DB) execPrepared(ctx context.Context, prep *planner.Prepared, cacheHit
 
 	b := &metrics.Breakdown{}
 	t0 := time.Now()
-	db.mu.RLock()
+	// Build opens the raw scans (file I/O), so it runs outside the catalog
+	// lock: it reads only the prepared statement's pinned entries, never the
+	// catalog itself.
 	plan, err := prep.Build(ctx, b, params)
-	db.mu.RUnlock()
 	if err != nil {
 		return fail(err)
 	}

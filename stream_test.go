@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"nodb/internal/core"
 )
 
 // drainValues pulls every row of a Rows cursor into the Result row shape.
@@ -28,16 +26,15 @@ func drainValues(t *testing.T, r *Rows) [][]any {
 // inserts). Byte-identical structures produce identical snapshots.
 func structState(t *testing.T, db *DB, name string) [6]int64 {
 	t.Helper()
-	raw, err := db.rawTable(name)
+	tbl, err := db.rawTable(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, ok := raw.(*core.Table)
-	if !ok {
+	if tbl.NumSegments() != 1 {
 		t.Fatalf("table %q is not a single-file raw table", name)
 	}
-	pm := tbl.PosMap().Stats()
-	cs := tbl.Cache().Stats()
+	pm := tbl.Segments()[0].PosMap().Stats()
+	cs := tbl.Segments()[0].Cache().Stats()
 	return [6]int64{pm.UsedBytes, int64(pm.Grains), pm.Inserts, cs.UsedBytes, int64(cs.Fragments), cs.Inserts}
 }
 
