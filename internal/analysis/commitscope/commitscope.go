@@ -2,8 +2,8 @@
 // rule: the adaptive structures — positional map, raw cache, statistics
 // collector — may only be mutated from the ordered-commit scope
 // (Scan.commit and its helpers) or a refresh (Table.Refresh looping over
-// Segment.Refresh). Anywhere else, a Populate/Put/ObserveBatch/
-// SetRowCount call races the commit order and breaks the
+// Segment.Refresh). Anywhere else, a Populate/Adopt/Put/ObserveBatch/
+// Merge/SetRowCount call races the commit order and breaks the
 // byte-identical-at-any-parallelism contract the differential tests pin.
 //
 // The check is cross-package: a function that (transitively) mutates an
@@ -41,9 +41,9 @@ var Packages = map[string]bool{"core": true, "engine": true, "planner": true}
 // Matching by base name keeps the analyzer honest on both the real tree
 // (nodb/internal/posmap) and fixtures (a local "posmap" stand-in).
 var mutators = map[string]map[string]bool{
-	"posmap":   {"Populate": true},
+	"posmap":   {"Populate": true, "Adopt": true},
 	"rawcache": {"Put": true},
-	"stats":    {"ObserveBatch": true, "SetRowCount": true},
+	"stats":    {"ObserveBatch": true, "Merge": true, "SetRowCount": true},
 }
 
 // Analyzer is the commitscope check.
@@ -51,7 +51,7 @@ var Analyzer = &nodbvet.Analyzer{
 	Name:      "commitscope",
 	Directive: "commitscope-ok",
 	Doc: "adaptive structures (posmap/rawcache/stats) may only be mutated from ordered-commit scope " +
-		"(Scan.commit, Table.Refresh); a Populate/Put/ObserveBatch/SetRowCount call reachable from " +
+		"(Scan.commit, Table.Refresh); a Populate/Adopt/Put/ObserveBatch/Merge/SetRowCount call reachable from " +
 		"anywhere else races the commit order and breaks byte-identical-at-any-parallelism",
 	Run: run,
 }
@@ -133,4 +133,3 @@ func enclosing(g *nodbvet.CallGraph, site nodbvet.CallSite) *types.Func {
 	}
 	return nil
 }
-

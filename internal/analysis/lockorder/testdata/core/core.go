@@ -70,8 +70,8 @@ func (t *T) suppressedIO(path string) {
 func (t *T) chanOps(ch chan int, done chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch <- 1 // want `channel send while holding \(core\.T\)\.mu`
-	<-ch    // want `channel receive while holding \(core\.T\)\.mu`
+	ch <- 1  // want `channel send while holding \(core\.T\)\.mu`
+	<-ch     // want `channel receive while holding \(core\.T\)\.mu`
 	select { // want `select while holding \(core\.T\)\.mu`
 	case <-done:
 	default:

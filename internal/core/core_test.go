@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -773,3 +774,169 @@ func TestStatsSeenOncePerChunk(t *testing.T) {
 
 // rawfile import is exercised indirectly; keep the compiler honest about it.
 var _ = rawfile.DefaultBlockSize
+
+// planCSV writes a ten-int-attribute file whose values are negative as often
+// as not (a '-' after every other separator); with ragged, every seventh row
+// of the even 64-row chunks stops early, after 1 to 9 fields, and every
+// thirteenth row has empty fields.
+func planCSV(t *testing.T, ragged bool) (string, *schema.Schema) {
+	t.Helper()
+	cols := make([]schema.Column, 10)
+	for a := range cols {
+		cols[a] = schema.Column{Name: fmt.Sprintf("a%d", a), Kind: value.KindInt}
+	}
+	var sb strings.Builder
+	for r := 0; r < 300; r++ {
+		n := 10
+		if ragged && r%7 == 3 && r/64%2 == 0 {
+			n = 1 + r%9
+		}
+		for a := 0; a < n; a++ {
+			if a > 0 {
+				sb.WriteByte(',')
+			}
+			if ragged && r%13 == 5 && a%4 == 1 {
+				continue
+			}
+			fmt.Fprintf(&sb, "%d", (r*37+a*101)%2000-1000)
+		}
+		sb.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), "plan.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, schema.MustNew(cols)
+}
+
+// planReference derives what a scan must produce from the file's bytes
+// alone: each row's start offset and the offset of every delimiter (the
+// d-th separator, or the row end for fields the row lacks).
+func planReference(t *testing.T, path string) (starts []int64, delims [][]int64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(0)
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		row := strings.TrimSuffix(line, "\n")
+		ends := make([]int64, 10)
+		p, d := 0, 0
+		for ; d < 10; d++ {
+			i := strings.IndexByte(row[p:], ',')
+			if i < 0 {
+				break
+			}
+			ends[d] = off + int64(p+i)
+			p += i + 1
+		}
+		for ; d < 10; d++ {
+			ends[d] = off + int64(len(row))
+		}
+		starts = append(starts, off)
+		delims = append(delims, ends)
+		off += int64(len(line))
+	}
+	return starts, delims
+}
+
+// TestTokenizePlanGolden pins the cold tokenizing plan on needed sets at the
+// first, the last, the middle and both ends of a row — cold, warm over a
+// map thinned to every third delimiter (so runs start from a view
+// position), and over ragged rows. Values and learned positions must match
+// the file; the values, the whole positional map and the tokenizing
+// counters must match a digest recorded from the implementation that
+// tokenized each gap with its own call.
+func TestTokenizePlanGolden(t *testing.T) {
+	golden := map[string]string{}
+	for _, mode := range []string{"cold", "warm", "ragged"} {
+		path, sch := planCSV(t, mode == "ragged")
+		starts, delims := planReference(t, path)
+		for _, needed := range [][]int{{0}, {9}, {3, 6}, {0, 9}} {
+			label := fmt.Sprintf("%s %v", mode, needed)
+			opts := Options{ChunkRows: 64, EnablePosMap: true, Parallelism: 1}
+			if mode == "warm" {
+				opts.MapEveryNth = 3
+			}
+			tbl, err := NewTable(path, sch, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "warm" {
+				collect(t, tbl, ScanSpec{Needed: []int{8}})
+			}
+			var b metrics.Breakdown
+			rows := collect(t, tbl, ScanSpec{Needed: needed, B: &b})
+			if len(rows) != len(starts) {
+				t.Fatalf("%s: %d rows, file has %d", label, len(rows), len(starts))
+			}
+			data, _ := os.ReadFile(path)
+			h := fnv.New64a()
+			for r, row := range rows {
+				for i, a := range needed {
+					lo := starts[r]
+					if a > 0 {
+						lo = delims[r][a-1] + 1
+					}
+					want := value.Null()
+					if hi := delims[r][a]; hi > lo {
+						want, _ = value.Parse(data[lo:hi], value.KindInt)
+					}
+					if row[i] != want {
+						t.Fatalf("%s: row %d attr %d = %v, file says %v", label, r, a, row[i], want)
+					}
+					fmt.Fprint(h, row[i], ";")
+				}
+			}
+			values := h.Sum64()
+			h.Reset()
+			pm := tbl.Segments()[0].PosMap()
+			for c := 0; c*64 < len(starts); c++ {
+				v, ok := pm.ViewChunk(c)
+				if !ok {
+					fmt.Fprint(h, "chunk ", c, " unmapped;")
+					continue
+				}
+				fmt.Fprint(h, "chunk ", c, v.Delims(), ";")
+				for r := 0; r < v.Rows(); r++ {
+					for _, d := range v.Delims() {
+						p, _ := v.Pos(r, d)
+						want := starts[c*64+r]
+						if d >= 0 {
+							want = delims[c*64+r][d]
+						}
+						if p != want {
+							t.Fatalf("%s: chunk %d row %d delimiter %d learned at %d, file says %d", label, c, r, d, p, want)
+						}
+						fmt.Fprint(h, p, ",")
+					}
+				}
+			}
+			golden[label] = fmt.Sprintf("tokenized=%d jump=%d near=%d malformed=%d converted=%d values=%016x map=%016x",
+				b.FieldsTokenized, b.MapJumpFields, b.MapNearFields, b.MalformedFields, b.FieldsConverted, values, h.Sum64())
+		}
+	}
+	want := map[string]string{
+		"cold [0 9]":   "tokenized=3000 jump=0 near=0 malformed=0 converted=600 values=534a1b1a22779bba map=b098d19536a4c4b1",
+		"cold [0]":     "tokenized=300 jump=0 near=0 malformed=0 converted=300 values=8eb65e4c10886744 map=17156f39be0cee20",
+		"cold [3 6]":   "tokenized=2100 jump=0 near=0 malformed=0 converted=600 values=bdbd6f595a82a202 map=85e9f7efaa51983f",
+		"cold [9]":     "tokenized=3000 jump=0 near=0 malformed=0 converted=300 values=856722f7946f87bb map=b098d19536a4c4b1",
+		"ragged [0 9]": "tokenized=2877 jump=0 near=0 malformed=24 converted=600 values=104011c149690d50 map=afd7246b04ede1a9",
+		"ragged [0]":   "tokenized=300 jump=0 near=0 malformed=0 converted=300 values=8eb65e4c10886744 map=8194ce2243db8698",
+		"ragged [3 6]": "tokenized=2041 jump=0 near=0 malformed=16 converted=600 values=4c370322973f6502 map=19a01edbad5532cf",
+		"ragged [9]":   "tokenized=2877 jump=0 near=0 malformed=24 converted=300 values=f837ecce884360c7 map=afd7246b04ede1a9",
+		"warm [0 9]":   "tokenized=300 jump=600 near=0 malformed=0 converted=600 values=534a1b1a22779bba map=1fc524e8af07b259",
+		"warm [0]":     "tokenized=0 jump=300 near=0 malformed=0 converted=300 values=8eb65e4c10886744 map=33b6fb42c76ac940",
+		"warm [3 6]":   "tokenized=1200 jump=600 near=300 malformed=0 converted=600 values=bdbd6f595a82a202 map=a8dd4de83e112231",
+		"warm [9]":     "tokenized=300 jump=300 near=0 malformed=0 converted=300 values=856722f7946f87bb map=1fc524e8af07b259",
+	}
+	for label, got := range golden {
+		if got != want[label] {
+			t.Errorf("%q: %q", label, got)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -276,6 +277,58 @@ func sameSegmentStructures(t *testing.T, label string, segs []*Segment, segRows 
 	}
 }
 
+// sameSegmentStats compares the statistics of a chunk-aligned layout with
+// the reference's. One segment saw the reference's chunks in the same
+// order, so its Snapshot and 8-bucket Histogram of every attribute must be
+// identical; several segments each sample their own rows, so only the
+// observation counts must add up.
+func sameSegmentStats(t *testing.T, label string, segs []*Segment, ref *Segment) {
+	t.Helper()
+	rc := ref.StatsCollector()
+	for a := 0; a < testSchema.Len(); a++ {
+		want, wok := rc.Snapshot(a)
+		if len(segs) > 1 {
+			var count, nulls int64
+			for _, g := range segs {
+				s, _ := g.StatsCollector().Snapshot(a)
+				count, nulls = count+s.Count, nulls+s.Nulls
+			}
+			if count != want.Count || nulls != want.Nulls {
+				t.Fatalf("%s: attr %d: %d values and %d nulls observed, reference %d and %d",
+					label, a, count, nulls, want.Count, want.Nulls)
+			}
+			continue
+		}
+		gc := segs[0].StatsCollector()
+		got, gok := gc.Snapshot(a)
+		if gok != wok || got.Count != want.Count || got.Nulls != want.Nulls || !sameBits(got.Min, want.Min) ||
+			!sameBits(got.Max, want.Max) || got.NDV != want.NDV || got.SampleSize != want.SampleSize {
+			t.Fatalf("%s: attr %d: statistics %+v (%v), reference %+v (%v)", label, a, got, gok, want, wok)
+		}
+		gh, gerr := gc.Histogram(a, 8)
+		wh, werr := rc.Histogram(a, 8)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s: attr %d: histogram error %v, reference %v", label, a, gerr, werr)
+		}
+		if gerr != nil {
+			continue
+		}
+		if len(gh.Bounds) != len(wh.Bounds) {
+			t.Fatalf("%s: attr %d: %d histogram bounds, reference %d", label, a, len(gh.Bounds), len(wh.Bounds))
+		}
+		for i := range gh.Bounds {
+			if !sameBits(gh.Bounds[i], wh.Bounds[i]) {
+				t.Fatalf("%s: attr %d: histogram bound %d = %v, reference %v", label, a, i, gh.Bounds[i], wh.Bounds[i])
+			}
+		}
+	}
+}
+
+// sameBits is bitwise value identity (NaN equal to NaN, -0 apart from 0).
+func sameBits(a, b value.Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
 // oracleLayout is one physical arrangement of the generated bytes.
 type oracleLayout struct {
 	name    string
@@ -413,6 +466,7 @@ func TestLayoutOracle(t *testing.T) {
 							t.Fatalf("%s: counters %v, reference %v", label, got.counters, want.counters)
 						}
 						sameSegmentStructures(t, label, l.tbl.Segments(), l.segRows, ref.Segments()[0])
+						sameSegmentStats(t, label, l.tbl.Segments(), ref.Segments()[0])
 						continue
 					}
 					if want.tooMany {

@@ -307,6 +307,11 @@ func (p *pipeline) pull() (*chunkOut, error) {
 		if o, ok := p.pending[p.nextC]; ok {
 			delete(p.pending, p.nextC)
 			p.nextC++
+			if o.eof || o.err != nil || o.countFinal >= 0 {
+				if err := p.drainPoison(); err != nil {
+					return nil, err
+				}
+			}
 			return o, nil
 		}
 		// Waiting for the next in-order chunk must not outlive the context:
@@ -330,6 +335,31 @@ func (p *pipeline) pull() (*chunkOut, error) {
 		case <-ctxDone:
 			p.shutdown()
 			return nil, p.s.spec.Ctx.Err()
+		}
+	}
+}
+
+// drainPoison runs once per segment, just before pull hands out the result
+// that ends it: it takes whatever already waits in results, without
+// blocking, and fails on any poison. The merge may have parked every
+// remaining chunk and the terminal result in pending, and then serves them
+// without reading results again — a poison sent meanwhile would otherwise
+// never be seen. Results that are not poison (chunks read ahead of a
+// failing one) are parked like any other.
+func (p *pipeline) drainPoison() error {
+	for {
+		select {
+		case o := <-p.results:
+			if o.viaPool {
+				<-p.sem
+			}
+			if o.poison {
+				p.shutdown()
+				return o.err
+			}
+			p.pending[o.c] = o
+		default:
+			return nil
 		}
 	}
 }

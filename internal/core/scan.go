@@ -427,7 +427,9 @@ func (s *Scan) commit(p *pipeline, o *chunkOut) error {
 	}
 	if len(o.learnDel) > 0 {
 		sw := metrics.NewStopwatch(s.b)
-		seg.pm.Populate(o.c, o.base, o.nrows, o.learnDel, o.learnPos)
+		if seg.pm.Adopt(o.c, o.base, o.nrows, o.learnDel, o.learnPos) {
+			o.learnDel, o.learnPos = nil, nil // the map's grain now
+		}
 		sw.Stop(metrics.NoDB)
 	}
 	if len(o.frags) > 0 {
@@ -441,7 +443,7 @@ func (s *Scan) commit(p *pipeline, o *chunkOut) error {
 		sw := metrics.NewStopwatch(s.b)
 		for _, smp := range o.samples {
 			if seg.markStatsSeen(o.c, smp.attr) {
-				seg.stats.ObserveBatch(smp.attr, smp.kind, smp.values)
+				seg.stats.Merge(smp.attr, &smp.sum)
 			}
 		}
 		sw.Stop(metrics.NoDB)

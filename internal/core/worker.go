@@ -12,6 +12,7 @@ import (
 	"nodb/internal/posmap"
 	"nodb/internal/rawcache"
 	"nodb/internal/rawfile"
+	"nodb/internal/stats"
 	"nodb/internal/value"
 )
 
@@ -33,12 +34,11 @@ type chunkSrc struct {
 	ch    *rawfile.Chunk // srcRaw: the split chunk handed over by step
 }
 
-// statsSample holds one attribute's sampled values for deferred statistics
-// observation.
+// statsSample is one attribute's sampled values, summarised by the worker
+// for the commit to merge.
 type statsSample struct {
-	attr   int
-	kind   value.Kind
-	values []value.Value
+	attr int
+	sum  stats.Summary
 }
 
 // chunkOut is one processed chunk: the batch plus every side effect the
@@ -85,6 +85,20 @@ type chunkOut struct {
 	groups []*PartialGroup
 }
 
+// nextSample appends a statistics sample for attr to the output, reusing a
+// recycled output's summary buffers, and returns its emptied summary.
+func (o *chunkOut) nextSample(attr int, kind value.Kind) *stats.Summary {
+	if n := len(o.samples); n < cap(o.samples) {
+		o.samples = o.samples[:n+1]
+	} else {
+		o.samples = append(o.samples, statsSample{})
+	}
+	smp := &o.samples[len(o.samples)-1]
+	smp.attr = attr
+	smp.sum.Reset(kind)
+	return &smp.sum
+}
+
 // chunkWorker processes chunks one at a time: read (or receive) raw bytes,
 // selectively tokenize, convert, filter, and collect deferred structure
 // updates. A worker owns all its scratch, so the pipeline can run one per
@@ -113,8 +127,9 @@ type chunkWorker struct {
 	learnSlot []int32 // delim+1 -> index+1 into the chunk's learnDel
 	fileAttrs []fileAttr
 	steps     []tokenStep
-	posBuf    []int32 // nrows x len(delims), data coordinates
-	tmpEnds   []int32
+	outs      []runOut // routing of every run's fields, steps index ranges
+	runBuf    []uint32 // a run's field ends, when it does not fill the slab directly
+	posBuf    []int32  // nrows x len(delims), data coordinates
 	spanLo    []int32
 	spanHi    []int32
 	rangeBuf  []byte
@@ -147,20 +162,39 @@ type fileAttr struct {
 	jSelf int // index into delims of delimiter attr
 }
 
-// tokenStep is one entry of the per-chunk tokenization plan.
+// tokenStep is one entry of the per-chunk tokenization plan: the row start,
+// a delimiter the map has, or a run of fields tokenized by one scanner call.
+// Gaps that chain off each other (each starts at the delimiter the previous
+// one ends at) form one run, so a cold row is one call for fields
+// 0..last needed.
 type tokenStep struct {
-	j        int   // index into delims
-	kind     int   // stepRowStart, stepMapped, stepGap
-	from     int16 // gap start delimiter (exclusive); -1 = row start
-	fromJ    int   // index into delims holding from's position, or -1
-	fromView bool  // from's position comes from the view, not posBuf
+	kind int   // stepRowStart, stepMapped, stepRun
+	j    int   // stepRowStart, stepMapped: index into delims
+	d    int16 // stepMapped: the delimiter
+	// stepRun: tokenize fields from+1..upto.
+	from     int16 // run start delimiter (exclusive); -1 = row start
+	upto     int16
+	fromJ    int  // index into delims holding from's position, or -1
+	fromView bool // from's position comes from the view, not posBuf
+	// slab is the learned-slab column of field from+1 when the run's fields
+	// fill consecutive columns, so the scanner writes them in place; -1
+	// sends them through runBuf.
+	slab       int
+	out0, out1 int // the run's routing: outs[out0:out1]
 }
 
 const (
 	stepRowStart = iota
 	stepMapped
-	stepGap
+	stepRun
 )
+
+// runOut routes one field end of a run to where the chunk needs it.
+type runOut struct {
+	k   int32 // the field's index within the run (field from+1+k)
+	j   int32 // index into delims whose posBuf entry it fills, or -1
+	col int32 // learned-slab column it fills, or -1 (or the run writes the slab in place)
+}
 
 func newChunkWorker(t *Segment, opts Options, spec ScanSpec, reader *rawfile.Reader, free chan *chunkOut) *chunkWorker {
 	nattrs := t.sch.Len()
@@ -571,19 +605,21 @@ func (w *chunkWorker) serveTokenize(c, knownRows int, known, haveView bool, view
 
 	// Build the per-chunk plan: for each needed delimiter, either it is the
 	// row start (free), the map has it, or we tokenize a gap starting after
-	// the nearest tracked (or previously computed) delimiter.
+	// the nearest tracked (or previously computed) delimiter. A gap starting
+	// where the previous gap ended extends that run instead of opening one.
 	w.steps = w.steps[:0]
 	cursor := int16(-1)
 	cursorJ := -1
+	chain := false // the last step is a run a gap from cursor may extend
 	for j, d := range w.delims {
 		if d == -1 {
-			w.steps = append(w.steps, tokenStep{j: j, kind: stepRowStart})
-			cursorJ = j
+			w.steps = append(w.steps, tokenStep{kind: stepRowStart, j: j})
+			cursorJ, chain = j, false
 			continue
 		}
 		if haveView && view.Has(d) {
-			w.steps = append(w.steps, tokenStep{j: j, kind: stepMapped})
-			cursor, cursorJ = d, j
+			w.steps = append(w.steps, tokenStep{kind: stepMapped, j: j, d: d})
+			cursor, cursorJ, chain = d, j, false
 			continue
 		}
 		from, fromJ, fromView := cursor, cursorJ, false
@@ -592,7 +628,11 @@ func (w *chunkWorker) serveTokenize(c, knownRows int, known, haveView bool, view
 				from, fromJ, fromView = nd, -1, true
 			}
 		}
-		w.steps = append(w.steps, tokenStep{j: j, kind: stepGap, from: from, fromJ: fromJ, fromView: fromView})
+		if chain && !fromView {
+			w.steps[len(w.steps)-1].upto = d
+		} else {
+			w.steps = append(w.steps, tokenStep{kind: stepRun, from: from, upto: d, fromJ: fromJ, fromView: fromView})
+		}
 		// Everything tokenized in the gap is learned (the paper: keep
 		// positions for attributes tokenized along the way), thinned by
 		// MapEveryNth but always keeping the needed delimiter itself.
@@ -603,13 +643,14 @@ func (w *chunkWorker) serveTokenize(c, knownRows int, known, haveView bool, view
 				}
 			}
 		}
-		cursor, cursorJ = d, j
+		cursor, cursorJ, chain = d, j, true
 	}
 
 	// Learned slab layout: collect marked delimiters in sorted order (the
 	// mark array doubles as the dedup set; it is cleared as it is drained).
-	// The slab buffers live on the chunkOut, so recycled outputs keep their
-	// capacity while in-flight ones are never touched.
+	// The slab is allocated at its final size, because commit hands it to
+	// the positional map as the grain whenever it can; buffers the map did
+	// not take stay on the chunkOut and are reused.
 	learnDel := out.learnDel[:0]
 	if w.opts.EnablePosMap {
 		if !haveView || !view.Has(-1) {
@@ -627,107 +668,21 @@ func (w *chunkWorker) serveTokenize(c, knownRows int, known, haveView bool, view
 		w.learnSlot[d+1] = int32(j + 1)
 	}
 	learnPos := out.learnPos
-	if cap(learnPos) < nrows*L {
-		learnPos = make([]uint32, nrows*L)
+	if n := nrows * L; n > 0 && cap(learnPos) != n {
+		learnPos = make([]uint32, n)
 	}
 	learnPos = learnPos[:nrows*L]
+	w.routeRuns()
 
 	// Tokenize every row following the plan.
 	serr := w.charge(metrics.Tokenizing, func() error {
-		base := ch.Base
-		for r := 0; r < nrows; r++ {
-			rowStart := ch.Start[r]
-			rowEnd := ch.End[r]
-			row := ch.Data[rowStart:rowEnd]
-			if L > 0 {
-				if j := w.learnSlot[0]; j != 0 {
-					learnPos[r*L+int(j-1)] = uint32(rowStart)
-				}
-			}
-			for _, st := range w.steps {
-				d := w.delims[st.j]
-				if st.kind == stepRowStart {
-					w.posBuf[r*K+st.j] = rowStart - 1
-					continue
-				}
-				if st.kind == stepMapped {
-					p, ok := view.Pos(r, d)
-					if !ok {
-						return faults.Changed(w.t.path, fmt.Sprintf("positional map lost delimiter %d mid-scan", d))
-					}
-					w.posBuf[r*K+st.j] = int32(p - base)
-					w.b.MapJumpFields++
-					continue
-				}
-				// Gap start position in data coordinates.
-				var fromPos int32 // position of delimiter st.from
-				switch {
-				case st.from == -1 && st.fromJ < 0:
-					fromPos = rowStart - 1
-				case st.from == -1:
-					fromPos = w.posBuf[r*K+st.fromJ] // row-start step already ran
-				case st.fromView:
-					p, ok := view.Pos(r, st.from)
-					if !ok {
-						return faults.Changed(w.t.path, fmt.Sprintf("positional map lost delimiter %d mid-scan", st.from))
-					}
-					fromPos = int32(p - base)
-					w.b.MapNearFields++
-				default:
-					fromPos = w.posBuf[r*K+st.fromJ]
-				}
-				scanRel := int(fromPos + 1 - rowStart) // first byte of field from+1, relative to row
-				w.tmpEnds = rawfile.TokenizeUpTo(row, w.opts.Delim, int(st.from)+1, int(d), scanRel, w.tmpEnds[:0])
-				w.b.FieldsTokenized += int64(len(w.tmpEnds))
-				// Record learned positions; missing trailing fields clamp to
-				// the row end.
-				g := st.from + 1
-				for _, rel := range w.tmpEnds {
-					p := rowStart + rel
-					if j := w.learnSlot[g+1]; j != 0 {
-						learnPos[r*L+int(j-1)] = uint32(p)
-					}
-					if g == d {
-						w.posBuf[r*K+st.j] = p
-					}
-					g++
-				}
-				if g <= d {
-					// The row ran out of fields before a delimiter the query
-					// needs: a ragged row. fail aborts the chunk; null and
-					// skip record the event (once per row — later gap steps
-					// restart from the clamped position and would re-detect)
-					// and clamp the remaining positions to the row end, so
-					// the missing fields read as empty spans (NULL).
-					if w.opts.OnError == OnErrorFail {
-						return faults.Ragged(w.t.path, c,
-							int64(c)*int64(w.opts.ChunkRows)+int64(r),
-							fmt.Sprintf("row has no field %d", g))
-					}
-					if !w.badRows[r] {
-						w.badRows[r] = true
-						w.nbad++
-						w.chunkErrs++
-						w.b.MalformedFields++
-					}
-				}
-				for ; g <= d; g++ { // row ran out of fields
-					if j := w.learnSlot[g+1]; j != 0 {
-						learnPos[r*L+int(j-1)] = uint32(rowEnd)
-					}
-					if g == d {
-						w.posBuf[r*K+st.j] = rowEnd
-					}
-				}
-			}
-		}
-		return nil
+		return w.tokenizeRows(c, ch, view, learnPos, L)
 	})
 	for _, d := range learnDel {
 		w.learnSlot[d+1] = 0
 	}
-	// Store the slab back on the output: commit populates the positional
-	// map from it (when non-empty), and recycling keeps the capacity.
+	// Store the slab on the output: commit populates the positional map from
+	// it (when non-empty).
 	out.learnDel = learnDel
 	out.learnPos = learnPos
 	if serr != nil {
@@ -738,6 +693,151 @@ func (w *chunkWorker) serveTokenize(c, knownRows int, known, haveView bool, view
 		return err
 	}
 	return w.finishChunk(nrows, out)
+}
+
+// routeRuns decides, once per chunk, where each run's field ends go: a run
+// whose fields are all learned into consecutive slab columns is scanned
+// straight into the slab, and only its needed delimiters are routed to
+// posBuf; any other run is scanned into runBuf and each field it needs —
+// for posBuf or the slab — gets a route.
+func (w *chunkWorker) routeRuns() {
+	w.outs = w.outs[:0]
+	width := 0
+	for si := range w.steps {
+		st := &w.steps[si]
+		if st.kind != stepRun {
+			continue
+		}
+		n := int(st.upto - st.from)
+		width = max(width, n)
+		first := w.learnSlot[st.from+2] - 1 // column of field from+1's end
+		st.slab = int(first)
+		for k := 0; k < n && st.slab >= 0; k++ {
+			if w.learnSlot[int(st.from)+2+k]-1 != first+int32(k) {
+				st.slab = -1
+			}
+		}
+		st.out0 = len(w.outs)
+		for k := 0; k < n; k++ {
+			g := int(st.from) + 1 + k
+			o := runOut{k: int32(k), j: w.delimSlot[g+1] - 1, col: -1}
+			if st.slab < 0 {
+				o.col = w.learnSlot[g+1] - 1
+			}
+			if o.j >= 0 || o.col >= 0 {
+				w.outs = append(w.outs, o)
+			}
+		}
+		st.out1 = len(w.outs)
+	}
+	if cap(w.runBuf) < width {
+		w.runBuf = make([]uint32, width)
+	}
+}
+
+// tokenizeRows runs the chunk's plan over every row: the row start, map
+// jumps, and one scanner call per run, whose hits land in the learned slab
+// (or runBuf) and from there in posBuf. Positions are data coordinates.
+//
+// The per-row loop of every cold or re-tokenizing chunk.
+//
+//nodbvet:hotpath
+func (w *chunkWorker) tokenizeRows(c int, ch *rawfile.Chunk, view *posmap.View, learnPos []uint32, L int) error {
+	K := len(w.delims)
+	base := ch.Base
+	sep := w.opts.Delim
+	rowStartCol := int(w.learnSlot[0]) - 1
+	for r := 0; r < ch.Rows; r++ {
+		rowStart, rowEnd := ch.Start[r], ch.End[r]
+		data := ch.Data[:rowEnd]
+		pos := w.posBuf[r*K : r*K+K]
+		learned := learnPos[r*L : r*L+L]
+		if rowStartCol >= 0 {
+			learned[rowStartCol] = uint32(rowStart)
+		}
+		for si := range w.steps {
+			st := &w.steps[si]
+			switch st.kind {
+			case stepRowStart:
+				pos[st.j] = rowStart - 1
+				continue
+			case stepMapped:
+				p, ok := view.Pos(r, st.d)
+				if !ok {
+					return w.lostDelim(st.d)
+				}
+				pos[st.j] = int32(p - base)
+				w.b.MapJumpFields++
+				continue
+			}
+			var fromPos int32 // position of delimiter st.from
+			switch {
+			case st.fromView:
+				p, ok := view.Pos(r, st.from)
+				if !ok {
+					return w.lostDelim(st.from)
+				}
+				fromPos = int32(p - base)
+				w.b.MapNearFields++
+			case st.fromJ >= 0:
+				fromPos = pos[st.fromJ]
+			default:
+				fromPos = rowStart - 1
+			}
+			width := int(st.upto - st.from)
+			dst := w.runBuf[:width]
+			if st.slab >= 0 {
+				dst = learned[st.slab : st.slab+width]
+			}
+			n := rawfile.FieldEnds(data, sep, int(fromPos)+1, dst)
+			w.b.FieldsTokenized += int64(n)
+			if n < width {
+				// The row ran out of fields before a delimiter the query
+				// needs: a ragged row. The missing fields end at the row
+				// end, so they read as empty spans (NULL).
+				if err := w.raggedRow(c, r, int(st.from)+1+n); err != nil {
+					return err
+				}
+				for k := n; k < width; k++ {
+					dst[k] = uint32(rowEnd)
+				}
+			}
+			for _, o := range w.outs[st.out0:st.out1] {
+				p := dst[o.k]
+				if o.j >= 0 {
+					pos[o.j] = int32(p)
+				}
+				if o.col >= 0 {
+					learned[o.col] = p
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// lostDelim reports a delimiter the plan took from the map but the view no
+// longer answers.
+func (w *chunkWorker) lostDelim(d int16) error {
+	return faults.Changed(w.t.path, fmt.Sprintf("positional map lost delimiter %d mid-scan", d))
+}
+
+// raggedRow handles row r of chunk c ending before field g: fail aborts the
+// chunk; null and skip record the event once per row (a later run of the
+// row restarts past the row end and detects it again).
+func (w *chunkWorker) raggedRow(c, r, g int) error {
+	if w.opts.OnError == OnErrorFail {
+		return faults.Ragged(w.t.path, c,
+			int64(c)*int64(w.opts.ChunkRows)+int64(r),
+			fmt.Sprintf("row has no field %d", g))
+	}
+	if !w.badRows[r] {
+		w.badRows[r] = true
+		w.nbad++
+		w.chunkErrs++
+		w.b.MalformedFields++
+	}
+	return nil
 }
 
 // materialize converts the needed fields into the batch columns, runs the
@@ -812,9 +912,10 @@ func (w *chunkWorker) materialize(c, nrows int, data []byte, K int, out *chunkOu
 		sw.Stop(metrics.NoDB)
 	}
 
-	// Statistics: sample fully converted attrs. The seen check here is
-	// advisory (skips the sampling work on repeat scans); commit re-checks
-	// authoritatively before observing.
+	// Statistics: summarise the sample of every fully converted attr; commit
+	// merges the summaries in chunk order. The seen check here is advisory
+	// (skips the sampling work on repeat scans); commit re-checks
+	// authoritatively before merging.
 	if w.opts.EnableStats {
 		sw := metrics.NewStopwatch(w.b)
 		for i, a := range w.spec.Needed {
@@ -824,18 +925,17 @@ func (w *chunkWorker) materialize(c, nrows int, data []byte, K int, out *chunkOu
 			if w.t.statsSeenPeek(c, a) {
 				continue
 			}
-			col := out.cols[i]
-			var sample []value.Value
-			if w.frags[i] != nil {
+			sum := out.nextSample(a, w.t.sch.Col(a).Kind)
+			if frag := w.frags[i]; frag != nil {
 				for r := 0; r < nrows; r += w.opts.StatsSampleEvery {
-					sample = append(sample, w.frags[i].Value(r))
+					sum.Add(frag.Value(r))
 				}
 			} else {
+				col := out.cols[i]
 				for r := 0; r < nrows; r += w.opts.StatsSampleEvery {
-					sample = append(sample, col[r])
+					sum.Add(col[r])
 				}
 			}
-			out.samples = append(out.samples, statsSample{attr: a, kind: w.t.sch.Col(a).Kind, values: sample})
 		}
 		sw.Stop(metrics.NoDB)
 	}

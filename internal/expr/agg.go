@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"strconv"
 
 	"nodb/internal/value"
 )
@@ -69,7 +68,7 @@ func newAggregator(name string, star, distinct, mergeable bool) (Aggregator, err
 		if star {
 			return nil, fmt.Errorf("expr: COUNT(DISTINCT *) is not valid")
 		}
-		a = &distinctAgg{inner: a, seen: make(map[distinctKey]bool), track: mergeable}
+		a = &distinctAgg{inner: a, seen: make(map[value.DistinctKey]bool), track: mergeable}
 	}
 	return a, nil
 }
@@ -219,37 +218,11 @@ func (a *minMaxAgg) Result() value.Value {
 	return a.best
 }
 
-type distinctKey struct {
-	k value.Kind
-	s string
-}
-
-// canonicalDistinctKey maps a value to the identity DISTINCT dedupes on,
-// aligned with value.Hash/value.Equal: all integral numerics (int, bool,
-// date, and floats with integral value) collapse onto their int64 form, so
-// Int(2), Date(2), Bool(true)/Int(1) and Float(2.0) dedupe together exactly
-// when value.Compare deems them equal; non-integral floats key on their
-// exact bits and text on its bytes.
-func canonicalDistinctKey(v value.Value) distinctKey {
-	switch v.K {
-	case value.KindText:
-		return distinctKey{k: value.KindText, s: v.S}
-	case value.KindFloat:
-		// Guard the int64 range before converting: out-of-range float→int
-		// conversion is implementation-specific in Go, which would make
-		// DISTINCT identity differ across architectures at the 2^63 edge.
-		if v.F >= -(1<<63) && v.F < 1<<63 && v.F == float64(int64(v.F)) {
-			return distinctKey{k: value.KindInt, s: strconv.FormatInt(int64(v.F), 10)}
-		}
-		return distinctKey{k: value.KindFloat, s: strconv.FormatFloat(v.F, 'b', -1, 64)}
-	default: // int, bool, date: canonical numeric form
-		return distinctKey{k: value.KindInt, s: strconv.FormatInt(v.I, 10)}
-	}
-}
-
+// distinctAgg dedupes its input on value.Distinct, the identity the
+// statistics' distinct count shares.
 type distinctAgg struct {
 	inner Aggregator
-	seen  map[distinctKey]bool
+	seen  map[value.DistinctKey]bool
 	track bool // mergeable state: record order for Merge replay
 	// order holds the first-seen representative of every distinct value, in
 	// arrival order, so Merge replays the other side's values
@@ -263,7 +236,7 @@ func (a *distinctAgg) Step(v value.Value) {
 	if v.IsNull() {
 		return
 	}
-	key := canonicalDistinctKey(v)
+	key := v.Distinct()
 	if a.seen[key] {
 		return
 	}

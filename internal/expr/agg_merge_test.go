@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"nodb/internal/value"
@@ -126,11 +127,44 @@ func TestDistinctCanonicalKey(t *testing.T) {
 			if (a.K == value.KindText) != (b.K == value.KindText) {
 				continue
 			}
-			sameKey := canonicalDistinctKey(a) == canonicalDistinctKey(b)
+			sameKey := a.Distinct() == b.Distinct()
 			if sameKey != value.Equal(a, b) {
 				t.Errorf("key identity for %v vs %v: sameKey=%v Equal=%v", a, b, sameKey, value.Equal(a, b))
 			}
 		}
+	}
+}
+
+// TestDistinctCrossKind pins value.Distinct, the identity COUNT(DISTINCT)
+// shares with the statistics' distinct count, across kinds — stepped in one
+// state and merged across every split point.
+func TestDistinctCrossKind(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		vals []value.Value
+		want int64
+	}{
+		{"int-date-float", []value.Value{value.Int(2), value.Date(2), value.Float(2.0)}, 1},
+		{"bool-int", []value.Value{value.Bool(true), value.Int(1), value.Bool(false)}, 2},
+		{"non-integral", []value.Value{value.Float(2.5), value.Int(2), value.Float(2.5)}, 2},
+		{"beyond-int64", []value.Value{value.Float(1e19), value.Int(math.MaxInt64), value.Float(1e19)}, 2},
+		{"signed-zero", []value.Value{value.Float(negZero), value.Float(0), value.Int(0)}, 1},
+	}
+	for _, c := range cases {
+		for split := 0; split <= len(c.vals); split++ {
+			left := stepAll(t, "COUNT", false, true, c.vals[:split]...)
+			left.Merge(stepAll(t, "COUNT", false, true, c.vals[split:]...))
+			if got := left.Result().I; got != c.want {
+				t.Errorf("%s split=%d: COUNT(DISTINCT)=%d, want %d", c.name, split, got, c.want)
+			}
+		}
+	}
+	if value.Float(negZero).Distinct() != value.Int(0).Distinct() {
+		t.Error("-0.0 and 0 have different identities")
+	}
+	if k := value.Float(1e19).Distinct(); k.K != value.KindFloat {
+		t.Errorf("1e19 keyed as %v, want its float bits", k)
 	}
 }
 

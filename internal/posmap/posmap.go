@@ -110,10 +110,27 @@ func grainBytes(rows, delims int) int64 {
 // Delimiters already tracked by existing grains of the chunk are dropped to
 // avoid double-charging the budget. Insertion makes the grain most recently
 // used; if the budget overflows, least recently used grains are evicted
-// (possibly including, in the worst case, grains of other chunks).
+// (possibly including, in the worst case, grains of other chunks). The new
+// grain is a copy: the caller keeps delims and pos.
 func (m *Map) Populate(chunkID int, base int64, rows int, delims []int16, pos []uint32) {
+	m.insert(chunkID, base, rows, delims, pos, false)
+}
+
+// Adopt is Populate for a caller that hands its slabs over. When none of
+// delims is tracked for the chunk yet — a chunk's first population, the
+// cold case — delims and pos become the grain as they are, with no copy,
+// and Adopt reports true: the map owns them and the caller must not touch
+// them again. Otherwise it keeps the new delimiters exactly as Populate does
+// and reports false, leaving the slabs with the caller.
+func (m *Map) Adopt(chunkID int, base int64, rows int, delims []int16, pos []uint32) bool {
+	return m.insert(chunkID, base, rows, delims, pos, true)
+}
+
+// insert is Populate and Adopt; own allows the grain to be the caller's
+// slabs, and the result reports that it is.
+func (m *Map) insert(chunkID int, base int64, rows int, delims []int16, pos []uint32, own bool) bool {
 	if rows <= 0 || len(delims) == 0 || len(pos) != rows*len(delims) {
-		return
+		return false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -125,46 +142,62 @@ func (m *Map) Populate(chunkID int, base int64, rows int, delims []int16, pos []
 	} else if ce.rows != rows || ce.base != base {
 		// Contradicts what the map already knows about this chunk (the file
 		// must have changed). Callers handle rewrites via Clear; ignore.
-		return
+		return false
 	}
 
 	// Which of the offered delimiters are new?
-	have := make(map[int16]bool)
-	for _, g := range ce.grains {
-		for _, d := range g.delims {
-			have[d] = true
+	fresh := 0
+	for _, d := range delims {
+		if !ce.tracks(d) {
+			fresh++
 		}
 	}
-	keep := make([]int, 0, len(delims))
-	for i, d := range delims {
-		if !have[d] {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		return
+	if fresh == 0 {
+		return false
 	}
 
-	g := &grain{
-		chunkID: chunkID,
-		delims:  make([]int16, len(keep)),
-		pos:     make([]uint32, rows*len(keep)),
-	}
-	for j, i := range keep {
-		g.delims[j] = delims[i]
-	}
-	k := len(delims)
-	for r := 0; r < rows; r++ {
+	g := &grain{chunkID: chunkID}
+	adopted := own && fresh == len(delims)
+	if adopted {
+		g.delims, g.pos = delims, pos
+	} else {
+		keep := make([]int, 0, fresh)
+		for i, d := range delims {
+			if !ce.tracks(d) {
+				keep = append(keep, i)
+			}
+		}
+		g.delims = make([]int16, len(keep))
+		g.pos = make([]uint32, rows*len(keep))
 		for j, i := range keep {
-			g.pos[r*len(keep)+j] = pos[r*k+i]
+			g.delims[j] = delims[i]
+		}
+		k := len(delims)
+		for r := 0; r < rows; r++ {
+			for j, i := range keep {
+				g.pos[r*len(keep)+j] = pos[r*k+i]
+			}
 		}
 	}
-	g.bytes = grainBytes(rows, len(keep))
+	g.bytes = grainBytes(rows, len(g.delims))
 	g.elem = m.lru.PushFront(g)
 	ce.grains = append(ce.grains, g)
 	m.used += g.bytes
 	m.inserts++
 	m.evictLocked()
+	return adopted
+}
+
+// tracks reports whether a grain of the chunk holds delimiter d.
+func (ce *chunkEntry) tracks(d int16) bool {
+	for _, g := range ce.grains {
+		for _, gd := range g.delims {
+			if gd == d {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // evictLocked drops least-recently-used grains until within budget.

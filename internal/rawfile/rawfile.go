@@ -5,11 +5,11 @@
 package rawfile
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -215,10 +215,14 @@ type ChunkReader struct {
 	r         *Reader
 	blockSize int
 
-	buf     []byte // window of unconsumed file bytes
-	base    int64  // file offset of buf[0]
-	nbuf    int    // valid bytes in buf
-	pending int    // bytes handed out by the previous NextChunk, not yet consumed
+	// buf[head:nbuf] are the file bytes read but not yet consumed. Consuming
+	// a chunk only advances head; the bytes move to the front of buf when a
+	// fill needs the room, not once per chunk.
+	buf     []byte
+	head    int
+	base    int64 // file offset of buf[head]
+	nbuf    int   // end of the valid bytes in buf
+	pending int   // bytes handed out by the previous NextChunk, not yet consumed
 	eof     bool
 	fault   error
 }
@@ -240,7 +244,7 @@ func (c *ChunkReader) Offset() int64 { return c.base + int64(c.pending) }
 // off must be the start of a line for subsequent chunks to be well-formed.
 func (c *ChunkReader) SeekTo(off int64) {
 	c.base = off
-	c.nbuf = 0
+	c.head, c.nbuf = 0, 0
 	c.pending = 0
 	c.eof = off >= c.r.Size()
 	c.fault = nil
@@ -266,62 +270,45 @@ func (c *ChunkReader) NextChunk(maxRows int, ch *Chunk) error {
 	if c.fault != nil {
 		return c.fault
 	}
-	c.consumePending()
+	c.head += c.pending
+	c.base += int64(c.pending)
+	c.pending = 0
 	ch.Base = c.base
 	ch.Rows = 0
 	ch.Start = ch.Start[:0]
 	ch.End = ch.End[:0]
 
-	pos := 0 // scan position within buf
+	// Offsets are relative to head: a fill may move the unconsumed bytes to
+	// the front of buf, but never reorders them.
+	pos := 0 // scan position: bytes before it hold no newline
 	lineStart := 0
-	for ch.Rows < maxRows {
-		nl := -1
-		if pos < c.nbuf {
-			nl = bytes.IndexByte(c.buf[pos:c.nbuf], '\n')
-			if nl >= 0 {
-				nl += pos
-			}
+	for {
+		win := c.buf[c.head:c.nbuf]
+		var full bool
+		lineStart, full = splitLines(ch, win, lineStart, pos, maxRows)
+		if full {
+			break
 		}
-		if nl < 0 {
-			if c.eof {
-				if c.nbuf > lineStart { // final line without newline
-					c.appendRow(ch, lineStart, c.nbuf)
-					lineStart = c.nbuf
-				}
-				break
+		if c.eof {
+			if len(win) > lineStart { // final line without newline
+				appendChunkRow(ch, win, lineStart, len(win))
+				lineStart = len(win)
 			}
-			pos = c.nbuf
-			if err := c.fill(); err != nil {
-				c.fault = err
-				return err
-			}
-			continue
+			break
 		}
-		c.appendRow(ch, lineStart, nl)
-		pos = nl + 1
-		lineStart = nl + 1
+		pos = len(win)
+		if err := c.fill(); err != nil {
+			c.fault = err
+			return err
+		}
 	}
 
-	ch.Data = c.buf[:lineStart]
+	ch.Data = c.buf[c.head : c.head+lineStart]
 	c.pending = lineStart
 	if ch.Rows == 0 {
 		return io.EOF
 	}
 	return nil
-}
-
-func (c *ChunkReader) appendRow(ch *Chunk, start, nl int) {
-	appendChunkRow(ch, c.buf, start, nl)
-}
-
-func (c *ChunkReader) consumePending() {
-	if c.pending == 0 {
-		return
-	}
-	n := copy(c.buf, c.buf[c.pending:c.nbuf])
-	c.nbuf = n
-	c.base += int64(c.pending)
-	c.pending = 0
 }
 
 // ReadChunkAt reads the byte range [base, limit) of r in one pread and
@@ -369,28 +356,45 @@ func ReadChunkAt(r *Reader, base, limit int64, maxRows int, buf []byte, ch *Chun
 	ch.Start = ch.Start[:0]
 	ch.End = ch.End[:0]
 
-	atEnd := limit >= r.Size()
-	pos := 0
-	lineStart := 0
-	for ch.Rows < maxRows {
-		nl := bytes.IndexByte(buf[pos:], '\n')
-		if nl < 0 {
-			if atEnd && len(buf) > lineStart { // final line without newline
-				appendChunkRow(ch, buf, lineStart, len(buf))
-				lineStart = len(buf)
-			}
-			break
-		}
-		nl += pos
-		appendChunkRow(ch, buf, lineStart, nl)
-		pos = nl + 1
-		lineStart = nl + 1
+	lineStart, full := splitLines(ch, buf, 0, 0, maxRows)
+	if !full && limit >= r.Size() && len(buf) > lineStart { // final line without newline
+		appendChunkRow(ch, buf, lineStart, len(buf))
+		lineStart = len(buf)
 	}
 	ch.Data = buf[:lineStart]
 	if ch.Rows == 0 {
 		return buf, io.EOF
 	}
 	return buf, nil
+}
+
+// splitLineBatch bounds how many newline offsets one splitLines scan
+// collects at a time.
+const splitLineBatch = 1024
+
+// splitLines records in ch the lines of buf that start at lineStart and end
+// at a newline at or after pos, until ch holds maxRows rows. It returns the
+// offset just past the last newline consumed, and full = true when ch
+// reached maxRows, false when buf ran out of newlines first. The newline
+// offsets are collected by one indexAll call per batch into ch.End's spare
+// capacity, where the rows recorded from them overwrite each offset only
+// after reading it (a newline yields at most one row).
+func splitLines(ch *Chunk, buf []byte, lineStart, pos, maxRows int) (int, bool) {
+	for ch.Rows < maxRows {
+		want := min(maxRows-ch.Rows, splitLineBatch)
+		ch.End = slices.Grow(ch.End, want)
+		nls := ch.End[ch.Rows : ch.Rows+want]
+		k := indexAll(buf, '\n', max(pos, lineStart), nls)
+		for i := 0; i < k; i++ {
+			nl := int(nls[i])
+			appendChunkRow(ch, buf, lineStart, nl)
+			lineStart = nl + 1
+		}
+		if k < want {
+			return lineStart, false
+		}
+	}
+	return lineStart, true
 }
 
 // appendChunkRow records one row's boundaries, trimming \r and skipping
@@ -415,20 +419,26 @@ func (c *ChunkReader) fill() error {
 		return nil
 	}
 	if len(c.buf)-c.nbuf < c.blockSize {
-		want := c.nbuf + c.blockSize
-		if want < 2*len(c.buf) {
-			want = 2 * len(c.buf)
+		live := c.nbuf - c.head
+		if live+c.blockSize <= len(c.buf) {
+			copy(c.buf, c.buf[c.head:c.nbuf])
+		} else {
+			want := live + c.blockSize
+			if want < 2*len(c.buf) {
+				want = 2 * len(c.buf)
+			}
+			nb := make([]byte, want)
+			copy(nb, c.buf[c.head:c.nbuf])
+			c.buf = nb
 		}
-		nb := make([]byte, want)
-		copy(nb, c.buf[:c.nbuf])
-		c.buf = nb
+		c.head, c.nbuf = 0, live
 	}
-	n, err := c.r.ReadAt(c.buf[c.nbuf:c.nbuf+c.blockSize], c.base+int64(c.nbuf))
+	n, err := c.r.ReadAt(c.buf[c.nbuf:c.nbuf+c.blockSize], c.base+int64(c.nbuf-c.head))
 	c.nbuf += n
 	switch {
 	case err == io.EOF:
 		c.eof = true
-		if got := c.base + int64(c.nbuf); got < c.r.Size() {
+		if got := c.base + int64(c.nbuf-c.head); got < c.r.Size() {
 			// EOF before the size the file had at open: it shrank mid-scan.
 			return faults.Truncated(c.r.Path(),
 				fmt.Sprintf("read at %d hit end of file before expected size %d", got, c.r.Size()))
@@ -438,7 +448,7 @@ func (c *ChunkReader) fill() error {
 		// Already faults.IO-typed (and retried) by Reader.ReadAt.
 		return err
 	}
-	if c.base+int64(c.nbuf) >= c.r.Size() {
+	if c.base+int64(c.nbuf-c.head) >= c.r.Size() {
 		c.eof = true
 	}
 	return nil

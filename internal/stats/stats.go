@@ -30,7 +30,8 @@ type Collector struct {
 	mu        sync.Mutex
 	attrs     []*attrStats
 	sampleCap int
-	rowCount  int64 // authoritative table row count once a full scan ran
+	rowCount  int64   // authoritative table row count once a full scan ran
+	scratch   Summary // ObserveBatch's summary, reused under mu
 }
 
 type attrStats struct {
@@ -43,13 +44,147 @@ type attrStats struct {
 	seen   int64  // total values offered to the reservoir
 	rng    uint64 // xorshift state for reservoir replacement
 
-	distinct     map[distKey]struct{}
+	distinct     distinctSet
 	distOverflow bool
 }
 
-type distKey struct {
-	k value.Kind
-	s string
+// distinctSet is a set of distinct keys held in maps the runtime hashes
+// fast: integral keys and float bits as int64, text as string.
+type distinctSet struct {
+	ints, flts map[int64]struct{}
+	txts       map[string]struct{}
+}
+
+// add inserts k and reports whether it was new.
+func (d *distinctSet) add(k value.DistinctKey) bool {
+	switch k.K {
+	case value.KindText:
+		return insert(&d.txts, k.S)
+	case value.KindFloat:
+		return insert(&d.flts, k.I)
+	default:
+		return insert(&d.ints, k.I)
+	}
+}
+
+func insert[K comparable](m *map[K]struct{}, k K) bool {
+	if *m == nil {
+		*m = make(map[K]struct{})
+	}
+	n := len(*m)
+	(*m)[k] = struct{}{}
+	return len(*m) > n
+}
+
+func (d *distinctSet) len() int { return len(d.ints) + len(d.flts) + len(d.txts) }
+
+// Summary is one batch of observations of one attribute — a chunk's
+// sampled values — reduced where it is produced, off the collector's lock:
+// the null count, the non-null values in a slab of their kind (which is
+// also where their distinct keys come from: the int64, the float's bits or
+// the text, never a formatted string), and the indexes of the minimum and
+// maximum. Merge folds it into a collector with exactly the effect of
+// observing its values one by one. The zero value is not ready; call Reset
+// first. A Summary keeps its buffers across Reset.
+type Summary struct {
+	kind  value.Kind
+	nulls int64
+	n     int // non-null values
+
+	// The non-null values, in order: in the slab of kind (ints holds int,
+	// date and bool values), or boxed in mixed once a value of another kind
+	// arrived.
+	ints  []int64
+	flts  []float64
+	txts  []string
+	mixed []value.Value
+
+	// min and max index the first minimum and maximum values. replay marks
+	// batches whose extremes cannot be folded as a pair — a NaN or mixed
+	// kinds, where Compare is not a total order — so Merge re-runs the
+	// comparisons value by value.
+	min, max int
+	replay   bool
+}
+
+// Reset empties the summary for a batch of values of the given kind.
+func (s *Summary) Reset(kind value.Kind) {
+	s.kind, s.nulls, s.n = kind, 0, 0
+	s.ints, s.flts, s.txts, s.mixed = s.ints[:0], s.flts[:0], s.txts[:0], nil
+	s.min, s.max, s.replay = 0, 0, false
+}
+
+// Add observes one value.
+//
+// Runs once per sampled value of every attribute a cold scan converts.
+//
+//nodbvet:hotpath
+func (s *Summary) Add(v value.Value) {
+	if v.K == value.KindNull {
+		s.nulls++
+		return
+	}
+	if v.K != s.kind || s.mixed != nil {
+		s.addMixed(v)
+		return
+	}
+	i := s.n
+	s.n++
+	switch s.kind {
+	case value.KindFloat:
+		s.flts = append(s.flts, v.F)
+		switch {
+		case v.F != v.F:
+			s.replay = true
+		case v.F < s.flts[s.min]:
+			s.min = i
+		case v.F > s.flts[s.max]:
+			s.max = i
+		}
+	case value.KindText:
+		s.txts = append(s.txts, v.S)
+		if v.S < s.txts[s.min] {
+			s.min = i
+		} else if v.S > s.txts[s.max] {
+			s.max = i
+		}
+	default:
+		s.ints = append(s.ints, v.I)
+		if v.I < s.ints[s.min] {
+			s.min = i
+		} else if v.I > s.ints[s.max] {
+			s.max = i
+		}
+	}
+}
+
+// addMixed observes a value whose kind differs from the summary's (or any
+// value once one did): values are boxed from then on, and the extremes are
+// replayed at merge.
+func (s *Summary) addMixed(v value.Value) {
+	if s.mixed == nil {
+		boxed := make([]value.Value, 0, s.n+1)
+		for i := 0; i < s.n; i++ {
+			boxed = append(boxed, s.at(i))
+		}
+		s.mixed, s.replay = boxed, true
+	}
+	s.mixed = append(s.mixed, v)
+	s.n++
+}
+
+// at returns the i-th non-null value.
+func (s *Summary) at(i int) value.Value {
+	switch {
+	case s.mixed != nil:
+		return s.mixed[i]
+	case s.kind == value.KindFloat:
+		return value.Value{K: s.kind, F: s.flts[i]}
+	case s.kind == value.KindText:
+		return value.Value{K: s.kind, S: s.txts[i]}
+	default:
+		return value.Value{K: s.kind, I: s.ints[i]}
+	}
 }
 
 // NewCollector creates a collector for a table with nattrs attributes.
@@ -87,66 +222,99 @@ func (c *Collector) RowCount() int64 {
 
 // ObserveBatch feeds a batch of sampled values for one attribute. Values
 // are the converted binary values the scan produced anyway; the paper's
-// point is that statistics creation rides on query execution.
+// point is that statistics creation rides on query execution. It
+// summarises the batch and merges the summary — the one observation path.
 func (c *Collector) ObserveBatch(attr int, kind value.Kind, vals []value.Value) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	s := &c.scratch
+	s.Reset(kind)
+	for _, v := range vals {
+		s.Add(v)
+	}
+	c.mergeLocked(attr, s)
+}
+
+// Merge folds a summary into the attribute's statistics with exactly the
+// effect ObserveBatch has on the summary's values: counts add, the extremes
+// fold, and the reservoir and distinct-set steps run in the values' order.
+// Summaries merged in chunk order therefore leave the collector identical
+// to observing the chunks' values one by one.
+func (c *Collector) Merge(attr int, s *Summary) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.mergeLocked(attr, s)
+}
+
+func (c *Collector) mergeLocked(attr int, s *Summary) {
 	if attr < 0 || attr >= len(c.attrs) {
 		return
 	}
 	a := c.attrs[attr]
 	if a == nil {
 		a = &attrStats{
-			kind:     kind,
-			rng:      uint64(attr)*2654435761 + 1,
-			distinct: make(map[distKey]struct{}),
+			kind: s.kind,
+			rng:  uint64(attr)*2654435761 + 1,
 		}
 		c.attrs[attr] = a
 	}
-	for _, v := range vals {
-		a.observe(v, c.sampleCap)
-	}
-}
-
-func (a *attrStats) observe(v value.Value, cap int) {
-	if v.IsNull() {
-		a.nulls++
+	a.nulls += s.nulls
+	if s.n == 0 {
 		return
 	}
-	a.count++
-	if a.min.IsNull() || value.Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if a.max.IsNull() || value.Compare(v, a.max) > 0 {
-		a.max = v
-	}
-	// Reservoir sampling (algorithm R).
-	a.seen++
-	if len(a.sample) < cap {
-		a.sample = append(a.sample, v)
+	a.count += int64(s.n)
+
+	// Extremes: a batch of one kind without NaN folds as its (first)
+	// minimum and maximum into extremes of that kind, which is what the
+	// value-by-value comparisons would pick; anything else replays them.
+	if s.replay || (!a.min.IsNull() && (a.min.K != s.kind || a.max.K != s.kind)) {
+		for i := 0; i < s.n; i++ {
+			a.foldMin(s.at(i))
+			a.foldMax(s.at(i))
+		}
 	} else {
+		a.foldMin(s.at(s.min))
+		a.foldMax(s.at(s.max))
+	}
+
+	// Reservoir sampling (algorithm R), one step per value.
+	cap := c.sampleCap
+	for i := 0; i < s.n; i++ {
+		a.seen++
+		if len(a.sample) < cap {
+			a.sample = append(a.sample, s.at(i))
+			continue
+		}
 		a.rng ^= a.rng << 13
 		a.rng ^= a.rng >> 7
 		a.rng ^= a.rng << 17
 		if j := a.rng % uint64(a.seen); j < uint64(cap) {
-			a.sample[j] = v
+			a.sample[j] = s.at(i)
 		}
 	}
-	if !a.distOverflow {
-		a.distinct[dk(v)] = struct{}{}
-		if len(a.distinct) > maxDistinctTracked {
-			a.distOverflow = true
-			a.distinct = nil
+
+	// The distinct set, until it outgrows its bound.
+	if a.distOverflow {
+		return
+	}
+	for i := 0; i < s.n; i++ {
+		if a.distinct.add(s.at(i).Distinct()) && a.distinct.len() > maxDistinctTracked {
+			a.distOverflow, a.distinct = true, distinctSet{}
+			return
 		}
 	}
 }
 
-func dk(v value.Value) distKey {
-	k := v.K
-	if k != value.KindText {
-		k = value.KindInt // canonical numeric, matching value.Equal
+func (a *attrStats) foldMin(v value.Value) {
+	if a.min.IsNull() || value.Compare(v, a.min) < 0 {
+		a.min = v
 	}
-	return distKey{k: k, s: v.String()}
+}
+
+func (a *attrStats) foldMax(v value.Value) {
+	if a.max.IsNull() || value.Compare(v, a.max) > 0 {
+		a.max = v
+	}
 }
 
 // Has reports whether any statistics exist for the attribute.
@@ -189,20 +357,20 @@ func (c *Collector) Snapshot(attr int) (AttrSnapshot, bool) {
 
 func (a *attrStats) ndvLocked() int64 {
 	if !a.distOverflow {
-		return int64(len(a.distinct))
+		return int64(a.distinct.len())
 	}
 	// Overflowed the exact set: estimate from the sample's distinct ratio.
-	seen := make(map[distKey]struct{}, len(a.sample))
+	var seen distinctSet
 	for _, v := range a.sample {
-		seen[dk(v)] = struct{}{}
+		seen.add(v.Distinct())
 	}
 	if len(a.sample) == 0 {
 		return 0
 	}
-	ratio := float64(len(seen)) / float64(len(a.sample))
+	ratio := float64(seen.len()) / float64(len(a.sample))
 	est := int64(ratio * float64(a.count))
-	if est < int64(len(seen)) {
-		est = int64(len(seen))
+	if est < int64(seen.len()) {
+		est = int64(seen.len())
 	}
 	return est
 }

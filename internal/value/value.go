@@ -10,6 +10,7 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -401,6 +402,43 @@ func (v Value) Hash() uint64 {
 		}
 	}
 	return h
+}
+
+// DistinctKey is the identity under which two values count as one distinct
+// value — for COUNT(DISTINCT …) and for the statistics' distinct-value
+// count. It is comparable, so it keys maps directly.
+type DistinctKey struct {
+	K Kind   // KindInt (every integral numeric), KindFloat, KindText or KindNull
+	I int64  // the integral value, or the bits of a non-integral float
+	S string // text
+}
+
+// Distinct returns v's distinct identity, aligned with Hash and Equal: all
+// integral numerics (int, bool, date, and floats with an integral value,
+// -0.0 included) collapse onto their int64, so Int(2), Date(2), Float(2.0)
+// and Bool(true)/Int(1) are one value exactly when Compare deems them equal;
+// other floats key on their bits and text on its bytes. It allocates
+// nothing.
+func (v Value) Distinct() DistinctKey {
+	switch v.K {
+	case KindNull:
+		return DistinctKey{}
+	case KindText:
+		return DistinctKey{K: KindText, S: v.S}
+	case KindFloat:
+		// Guard the int64 range before converting: out-of-range float→int
+		// conversion is implementation-specific in Go, which would make the
+		// identity differ across architectures at the 2^63 edge.
+		if v.F >= -(1<<63) && v.F < 1<<63 && v.F == float64(int64(v.F)) {
+			return DistinctKey{K: KindInt, I: int64(v.F)}
+		}
+		if v.F != v.F {
+			return DistinctKey{K: KindFloat, I: int64(math.Float64bits(math.NaN()))} // one NaN, whatever its payload
+		}
+		return DistinctKey{K: KindFloat, I: int64(math.Float64bits(v.F))}
+	default: // int, bool, date: canonical numeric form
+		return DistinctKey{K: KindInt, I: v.I}
+	}
 }
 
 // AppendGroupKey appends a collision-safe grouping/dedup key for vals to
