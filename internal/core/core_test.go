@@ -712,8 +712,9 @@ func TestWideFileMappedPathSkipsTokenizing(t *testing.T) {
 	if b2.FieldsTokenized != 0 {
 		t.Errorf("mapped path tokenized %d fields, want 0", b2.FieldsTokenized)
 	}
-	if b2.MapJumpFields != rows {
-		t.Errorf("map jumps=%d, want %d", b2.MapJumpFields, rows)
+	// Attribute 2 is located by delimiters 1 and 2: two map jumps per row.
+	if b2.MapJumpFields != 2*rows {
+		t.Errorf("map jumps=%d, want %d", b2.MapJumpFields, 2*rows)
 	}
 	if b2.BytesRead > b1.BytesRead {
 		t.Errorf("mapped path read %d bytes > first scan %d", b2.BytesRead, b1.BytesRead)

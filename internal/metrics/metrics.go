@@ -70,7 +70,7 @@ type Breakdown struct {
 	FieldsTokenized int64 // delimiter searches performed
 	FieldsConverted int64 // text->binary conversions performed
 	CacheHitFields  int64 // field values served from the binary cache
-	MapJumpFields   int64 // fields located via the positional map (no tokenize)
+	MapJumpFields   int64 // delimiter positions read from the positional map, one per needed delimiter per row (row start excluded)
 	MapNearFields   int64 // fields located via a nearby map entry (partial tokenize)
 	PartialGroups   int64 // per-chunk partial group states folded in scan workers
 	VecRows         int64 // (row, expression) evaluations served column-at-a-time

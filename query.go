@@ -39,7 +39,7 @@ type QueryStats struct {
 	FieldsTokenized int64
 	FieldsConverted int64
 	CacheHitFields  int64
-	MapJumpFields   int64
+	MapJumpFields   int64 // delimiter positions read from the positional map: one per needed delimiter per row, the row start excluded, on every chunk
 	MapNearFields   int64 // fields located via a nearby map entry (short gap tokenize)
 	PartialGroups   int64 // partial group states folded by scan workers (aggregation pushdown)
 	SchedTasks      int64 // chunk tasks this query ran on the shared scheduler pool (0 at Parallelism 1, which runs them inline; deterministic for a given file layout at any MaxWorkers)
