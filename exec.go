@@ -304,12 +304,13 @@ func (db *DB) alterTable(s *sql.AlterTable) error {
 }
 
 // catalogRows serves SHOW TABLES / DESCRIBE as ordinary result rows through
-// the streaming cursor (the same static-rows path EXPLAIN uses).
+// the streaming cursor, from a ValuesOp root as EXPLAIN is.
 func (db *DB) catalogRows(ctx context.Context, st sql.Statement, args []any) (*Rows, error) {
 	if len(args) != 0 {
 		return nil, fmt.Errorf("nodb: %s takes no arguments (got %d)", statementKind(st), len(args))
 	}
 	r := &Rows{db: db, ctx: ctx, b: &metrics.Breakdown{}, t0: time.Now()}
+	var rows [][]value.Value
 	switch s := st.(type) {
 	case *sql.ShowTables:
 		r.cols = []Column{
@@ -336,7 +337,7 @@ func (db *DB) catalogRows(ctx context.Context, st sql.Statement, args []any) (*R
 					shards = value.Null()
 				}
 			}
-			r.static = append(r.static, []value.Value{
+			rows = append(rows, []value.Value{
 				value.Text(e.Name), value.Text(e.Mode.String()), value.Text(e.Path),
 				value.Int(int64(e.Schema.Len())), shards,
 			})
@@ -352,16 +353,13 @@ func (db *DB) catalogRows(ctx context.Context, st sql.Statement, args []any) (*R
 		r.cols = []Column{{Name: "column", Type: "TEXT"}, {Name: "type", Type: "TEXT"}}
 		for i := 0; i < e.Schema.Len(); i++ {
 			c := e.Schema.Col(i)
-			r.static = append(r.static, []value.Value{
+			rows = append(rows, []value.Value{
 				value.Text(c.Name), value.Text(c.Kind.String()),
 			})
 		}
 	default:
 		return nil, fmt.Errorf("nodb: cannot query %s; run it through Exec", statementKind(st))
 	}
-	if r.static == nil {
-		r.static = [][]value.Value{} // non-nil marks the static path
-	}
-	r.finalizeStats()
+	r.serveValues(rows)
 	return r, nil
 }

@@ -1,5 +1,5 @@
 // Fixture for the errtaxonomy analyzer. The package is named core, where
-// Next/NextBatch/DrainAgg/splitter/worker/OpenScan root the scan paths.
+// NextBatch/DrainAgg/splitter/worker/OpenScan root the scan paths.
 package core
 
 import (
@@ -13,9 +13,9 @@ import (
 
 type scan struct{ path string }
 
-// Next is a scan-path root: untyped constructions are flagged, faults
+// NextBatch is a scan-path root: untyped constructions are flagged, faults
 // constructors and %w-wrapped sentinels are clean.
-func (s *scan) Next() error {
+func (s *scan) NextBatch() error {
 	if bad() {
 		return errors.New("core: scan failed") // want `untyped errors.New on a scan path`
 	}
@@ -28,7 +28,7 @@ func (s *scan) Next() error {
 	return s.typed()
 }
 
-// typed is reachable from Next; a faults constructor wrapped with %w is the
+// typed is reachable from NextBatch; a faults constructor wrapped with %w is the
 // taxonomy-preserving shape.
 func (s *scan) typed() error {
 	return fmt.Errorf("core: chunk 0: %w", faults.Malformed(s.path, 0, 1, "a", "not an int"))

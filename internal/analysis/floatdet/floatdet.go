@@ -31,7 +31,7 @@ const AccumFact = "floatdet.accum"
 var Roots = map[string]map[string]bool{
 	"expr":   {"Step": true, "Merge": true, "Result": true},
 	"core":   {"commit": true, "mergePartials": true, "DrainAgg": true},
-	"engine": {"Next": true, "NextBatch": true},
+	"engine": {"NextBatch": true},
 }
 
 // Analyzer is the floatdet check.

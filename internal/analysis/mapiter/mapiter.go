@@ -32,13 +32,13 @@ const RangesFact = "mapiter.ranges"
 
 // Roots names, per package, the entry points of ordered-commit and
 // result-emission paths; every package function reachable from them is
-// checked. Matching is by bare function/method name, so "Next" covers every
-// operator's Next method.
+// checked. Matching is by bare function/method name, so "NextBatch" covers
+// every operator's NextBatch method.
 var Roots = map[string]map[string]bool{
 	// internal/core: chunk commit/merge and the scan's serving surface.
-	"core": {"commit": true, "mergePartials": true, "Next": true, "NextBatch": true, "DrainAgg": true},
+	"core": {"commit": true, "mergePartials": true, "NextBatch": true, "DrainAgg": true},
 	// internal/engine: operator output.
-	"engine": {"Next": true, "NextBatch": true},
+	"engine": {"NextBatch": true},
 	// internal/expr: aggregate state merge and finalization.
 	"expr": {"Merge": true, "Result": true},
 }

@@ -1,6 +1,6 @@
 // Fixture for the mapiter analyzer. The package is named core so the
-// analyzer's root set applies: commit, Next, NextBatch and DrainAgg are
-// ordered-commit/result-emission roots here.
+// analyzer's root set applies: commit, mergePartials, NextBatch and DrainAgg
+// are ordered-commit/result-emission roots here.
 package core
 
 import (
@@ -22,10 +22,10 @@ func (s *scan) commit() int {
 	return total
 }
 
-// Next is a root; emitViaHelper is reachable from it, so its map range is
-// flagged too.
-func (s *scan) Next() []string {
-	return s.emitViaHelper()
+// NextBatch is a root; emitViaHelper is reachable from it, so its map range
+// is flagged too, while sortedKeys shows the blessed shape.
+func (s *scan) NextBatch() ([]string, []string) {
+	return s.emitViaHelper(), s.sortedKeys()
 }
 
 func (s *scan) emitViaHelper() []string {
@@ -36,8 +36,8 @@ func (s *scan) emitViaHelper() []string {
 	return out
 }
 
-// NextBatch shows the blessed shape: collect the keys, then sort them.
-func (s *scan) NextBatch() []string {
+// sortedKeys collects the keys, then sorts them.
+func (s *scan) sortedKeys() []string {
 	var keys []string
 	for k := range s.groups {
 		keys = append(keys, k)

@@ -76,9 +76,9 @@ func (g *CallGraph) Sites(fn *types.Func) []CallSite { return g.sites[fn] }
 
 // ReachableFrom returns the set of functions reachable from any declared
 // function whose bare name is in roots (methods match by method name, so
-// "Next" covers every operator's Next). Recursion follows only edges to
-// functions declared in this package; external callees appear in the
-// result set but are not expanded.
+// "NextBatch" covers every operator's NextBatch). Recursion follows only
+// edges to functions declared in this package; external callees appear in
+// the result set but are not expanded.
 func (g *CallGraph) ReachableFrom(roots map[string]bool) map[*types.Func]bool {
 	seen := map[*types.Func]bool{}
 	var visit func(fn *types.Func)

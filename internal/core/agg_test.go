@@ -207,8 +207,9 @@ func TestAggPushdownGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	defer sc.Close()
-	if _, ok, _ := sc.Next(); !ok {
+	if _, ok, _ := rc.Next(); !ok {
 		t.Fatal("no rows")
 	}
 	if sc.PushAgg(aggTestSpec()) {

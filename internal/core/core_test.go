@@ -60,6 +60,40 @@ func newTable(t *testing.T, path string, opts Options) *Table {
 	return tbl
 }
 
+// rowCursor reads a scan one row at a time over NextBatch: the row-shaped
+// view the scan tests assert against. Like every scan entry point it
+// reports a closed or failed scan before serving a buffered row.
+type rowCursor struct {
+	sc  *Scan
+	b   *Batch
+	pos int
+	row []value.Value
+}
+
+func rowsOf(sc *Scan) *rowCursor { return &rowCursor{sc: sc} }
+
+// Next returns the next qualifying row in the Needed layout, reusing the
+// slice between calls; ok=false signals end of data.
+func (c *rowCursor) Next() ([]value.Value, bool, error) {
+	if err := c.sc.usable(); err != nil {
+		return nil, false, err
+	}
+	for c.b == nil || c.pos >= len(c.b.Sel) {
+		b, ok, err := c.sc.NextBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		c.b, c.pos = b, 0
+	}
+	r := c.b.Sel[c.pos]
+	c.pos++
+	c.row = c.row[:0]
+	for _, col := range c.b.Cols {
+		c.row = append(c.row, col[r])
+	}
+	return c.row, true, nil
+}
+
 // collect drains a scan into a row matrix.
 func collect(t *testing.T, tbl *Table, spec ScanSpec) [][]value.Value {
 	t.Helper()
@@ -70,10 +104,11 @@ func collect(t *testing.T, tbl *Table, spec ScanSpec) [][]value.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	defer sc.Close()
 	var out [][]value.Value
 	for {
-		row, ok, err := sc.Next()
+		row, ok, err := rc.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,8 +394,9 @@ func TestEarlyCloseThenRescan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	for i := 0; i < 5; i++ {
-		if _, ok, err := sc.Next(); !ok || err != nil {
+		if _, ok, err := rc.Next(); !ok || err != nil {
 			t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -512,10 +548,11 @@ func TestConcurrentScans(t *testing.T) {
 				errs <- err
 				return
 			}
+			rc := rowsOf(sc)
 			defer sc.Close()
 			n := 0
 			for {
-				row, ok, err := sc.Next()
+				row, ok, err := rc.Next()
 				if err != nil {
 					errs <- err
 					return
@@ -682,8 +719,9 @@ func TestWideFileMappedPathSkipsTokenizing(t *testing.T) {
 	}
 	var b1, b2 metrics.Breakdown
 	sc1, _ := tbl.NewScan(ScanSpec{Needed: []int{2}, B: &b1})
+	rc1 := rowsOf(sc1)
 	for {
-		if _, ok, err := sc1.Next(); err != nil {
+		if _, ok, err := rc1.Next(); err != nil {
 			t.Fatal(err)
 		} else if !ok {
 			break
@@ -691,9 +729,10 @@ func TestWideFileMappedPathSkipsTokenizing(t *testing.T) {
 	}
 	sc1.Close()
 	sc2, _ := tbl.NewScan(ScanSpec{Needed: []int{2}, B: &b2})
+	rc2 := rowsOf(sc2)
 	n := 0
 	for {
-		row, ok, err := sc2.Next()
+		row, ok, err := rc2.Next()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,10 +34,11 @@ func faultCollect(tbl *Table, spec ScanSpec) ([][]value.Value, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	rc := rowsOf(sc)
 	defer sc.Close()
 	var out [][]value.Value
 	for {
-		row, ok, err := sc.Next()
+		row, ok, err := rc.Next()
 		if err != nil {
 			return out, spec.B.IORetries, err
 		}
@@ -219,13 +220,14 @@ func TestPanicErrorIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	defer sc.Close()
-	_, _, err = sc.Next()
+	_, _, err = rc.Next()
 	if !errors.Is(err, faults.ErrPanic) {
 		t.Fatalf("want ErrPanic, got %v", err)
 	}
 	// The failed scan must stay failed: its worker state is mid-chunk.
-	if _, _, err2 := sc.Next(); !errors.Is(err2, faults.ErrPanic) {
+	if _, _, err2 := rc.Next(); !errors.Is(err2, faults.ErrPanic) {
 		t.Fatalf("sticky error lost: %v", err2)
 	}
 	if err := sc.Close(); err != nil {
@@ -234,7 +236,7 @@ func TestPanicErrorIsSticky(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if _, _, err := sc.Next(); !errors.Is(err, faults.ErrClosed) {
+	if _, _, err := rc.Next(); !errors.Is(err, faults.ErrClosed) {
 		t.Fatalf("Next after Close: want ErrClosed, got %v", err)
 	}
 }
@@ -249,9 +251,10 @@ func TestTruncateMidScanReal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rc := rowsOf(sc)
 			defer sc.Close()
 			for served := 0; served < 200; served++ {
-				if _, ok, err := sc.Next(); err != nil || !ok {
+				if _, ok, err := rc.Next(); err != nil || !ok {
 					t.Fatalf("warm-up rows: ok=%v err=%v", ok, err)
 				}
 			}
@@ -260,7 +263,7 @@ func TestTruncateMidScanReal(t *testing.T) {
 				t.Fatal(err)
 			}
 			for {
-				_, ok, err := sc.Next()
+				_, ok, err := rc.Next()
 				if err != nil {
 					if !errors.Is(err, faults.ErrTruncated) || !errors.Is(err, faults.ErrFileChanged) {
 						t.Fatalf("want ErrTruncated (an ErrFileChanged), got %v", err)
@@ -351,9 +354,10 @@ func TestShardFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	var got [][]value.Value
 	for {
-		row, ok, err := sc.Next()
+		row, ok, err := rc.Next()
 		if err != nil {
 			if !errors.Is(err, faults.ErrIO) {
 				t.Fatalf("want ErrIO from the faulted shard, got %v", err)
@@ -383,10 +387,11 @@ func TestShardFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc = rowsOf(sc)
 	defer sc.Close()
 	n := 0
 	for {
-		row, ok, err := sc.Next()
+		row, ok, err := rc.Next()
 		if err != nil {
 			t.Fatalf("clean rescan: %v", err)
 		}
@@ -412,7 +417,8 @@ func TestScanCloseIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := sc.Next(); err != nil || !ok {
+		rc := rowsOf(sc)
+		if _, ok, err := rc.Next(); err != nil || !ok {
 			t.Fatalf("first row: ok=%v err=%v", ok, err)
 		}
 		if err := sc.Close(); err != nil {
@@ -421,7 +427,7 @@ func TestScanCloseIdempotent(t *testing.T) {
 		if err := sc.Close(); err != nil {
 			t.Fatalf("double close: %v", err)
 		}
-		if _, _, err := sc.Next(); !errors.Is(err, faults.ErrClosed) {
+		if _, _, err := rc.Next(); !errors.Is(err, faults.ErrClosed) {
 			t.Fatalf("Next after Close: want ErrClosed, got %v", err)
 		}
 		if _, _, err := sc.NextBatch(); !errors.Is(err, faults.ErrClosed) {

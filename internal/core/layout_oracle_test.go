@@ -161,6 +161,7 @@ func runOracleScan(t *testing.T, tbl *Table, q oracleQuery) oracleResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	defer sc.Close()
 	keep := func(row []value.Value) {
 		res.rows = append(res.rows, append([]value.Value(nil), row...))
@@ -168,7 +169,7 @@ func runOracleScan(t *testing.T, tbl *Table, q oracleQuery) oracleResult {
 	switch q.drive {
 	case 0:
 		for {
-			row, ok, nerr := sc.Next()
+			row, ok, nerr := rc.Next()
 			if err = nerr; err != nil || !ok {
 				break
 			}

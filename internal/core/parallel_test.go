@@ -152,8 +152,9 @@ func TestParallelEarlyCloseDoesNotPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	for i := 0; i < 5; i++ {
-		if _, ok, err := sc.Next(); !ok || err != nil {
+		if _, ok, err := rc.Next(); !ok || err != nil {
 			t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -369,9 +370,10 @@ func TestParallelWideFile(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		var b metrics.Breakdown
 		sc, _ := tbl.NewScan(ScanSpec{Needed: []int{2}, B: &b})
+		rc := rowsOf(sc)
 		n := 0
 		for {
-			row, ok, err := sc.Next()
+			row, ok, err := rc.Next()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -454,8 +454,9 @@ func TestShardWindowLaziness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	for i := 0; i < 10; i++ { // well inside shard 0
-		if _, ok, err := sc.Next(); err != nil || !ok {
+		if _, ok, err := rc.Next(); err != nil || !ok {
 			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
 		}
 	}

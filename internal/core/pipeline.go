@@ -288,8 +288,10 @@ func (p *pipeline) step() (it workItem, term *chunkOut) {
 
 // pull returns the segment's next result in chunk order. Inline, that is
 // one step plus its task, run here. Under the pool it is the ordered merge:
-// out-of-order arrivals park in pending, whose size is bounded by the
-// read-ahead window plus the results buffer.
+// out-of-order arrivals park in pending. The sem slot is released when a
+// result is received, not when it is committed, so behind a slow head chunk
+// pending is bounded only by the segment's chunk count, not by the
+// read-ahead window (ROADMAP item 0 is the open fix).
 func (p *pipeline) pull() (*chunkOut, error) {
 	if p.s.opts.Parallelism <= 1 {
 		it, term := p.step()

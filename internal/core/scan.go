@@ -14,7 +14,7 @@ import (
 // ScanSpec describes what a query needs from a raw table.
 type ScanSpec struct {
 	// Needed lists the attribute indexes the scan must produce, in output
-	// order. The returned rows use this layout.
+	// order. The returned batch columns use this layout.
 	Needed []int
 	// FilterAttrs is the subset of Needed referenced by the pushed-down
 	// predicate. The scan converts these first, runs Filter, and converts
@@ -38,7 +38,7 @@ type ScanSpec struct {
 	NewBatchFilter func() *expr.VecEval
 	// B receives the execution breakdown. Must be non-nil.
 	B *metrics.Breakdown
-	// Ctx, when non-nil, cancels the scan: Next/NextBatch/DrainAgg return
+	// Ctx, when non-nil, cancels the scan: NextBatch/DrainAgg return
 	// Ctx.Err() at the next chunk boundary once the context is done, and the
 	// parallel pipeline abandons its read-ahead promptly. Side effects of
 	// chunks already committed (positional map, cache, statistics) remain —
@@ -48,21 +48,22 @@ type ScanSpec struct {
 	// Agg, when non-nil, makes the scan fold each chunk into partial
 	// aggregation states instead of serving row batches (worker-side
 	// partial aggregation). Installed after NewScan via Scan.PushAgg; the
-	// consumer then drives the scan with DrainAgg rather than
-	// Next/NextBatch.
+	// consumer then drives the scan with DrainAgg rather than NextBatch.
 	Agg *AggPushdown
 }
 
-// Batch is one chunk's worth of scan output in columnar layout: Cols holds
-// every row of the chunk for each needed attribute (in ScanSpec.Needed
-// order) and Sel lists the qualifying row indexes in ascending order.
-// Columns of attributes outside FilterAttrs hold converted values only at
-// the selected rows (selective tuple formation); the other slots are
-// unspecified. The batch is valid until the next NextBatch or Next call.
+// Batch is the columnar unit every operator hands to the next: Cols holds
+// one column per output attribute and Sel lists the live row indexes, in
+// ascending order. A batch (and the values it points to) is valid only
+// until the producer's next NextBatch call; consumers that retain values
+// must copy. Sel may be empty when a whole chunk was filtered out, and Cols
+// is empty for zero-attribute scans (COUNT(*)), where len(Sel) alone
+// carries the row multiplicity. In a scan batch, columns of attributes
+// outside FilterAttrs hold converted values only at the selected rows
+// (selective tuple formation); the other slots are unspecified.
 type Batch struct {
-	NumRows int
-	Cols    [][]value.Value
-	Sel     []int32
+	Cols [][]value.Value
+	Sel  []int32
 }
 
 // Scan is the in-situ scan over a raw table: it walks the table's segments
@@ -99,9 +100,7 @@ type Scan struct {
 	err        error // sticky: a failed scan stays failed
 	errorsSeen int64 // malformed-input events, accumulated in commit order across segments
 
-	cur      *chunkOut // current committed chunk
-	selPos   int       // cursor into cur.sel for Next
-	out      []value.Value
+	cur      *chunkOut // current committed chunk, served as batch
 	batch    Batch
 	countSel []int32 // identity selection for synthetic count batches
 
@@ -159,7 +158,6 @@ func (t *Table) NewScan(spec ScanSpec) (*Scan, error) {
 		spec:   spec,
 		segs:   segs,
 		topped: -1,
-		out:    make([]value.Value, len(spec.Needed)),
 	}
 	s.ahead = s.opts.ShardAhead
 	if s.opts.Parallelism <= 1 {
@@ -187,7 +185,7 @@ func (s *Scan) openSegment(i int) (*pipeline, error) {
 // Close stops the pipelines of every open segment (discarding chunks read
 // ahead but not yet returned) and releases their file handles; segments
 // beyond the look-ahead window were never opened. Idempotent: repeated
-// Close calls return nil, and Next/NextBatch/DrainAgg after Close report
+// Close calls return nil, and NextBatch/DrainAgg after Close report
 // faults.ErrClosed instead of scanning.
 func (s *Scan) Close() error {
 	if s.closed {
@@ -204,41 +202,10 @@ func (s *Scan) Close() error {
 	return first
 }
 
-// Next returns the next qualifying row in the Needed layout. The slice is
-// reused between calls. ok=false signals end of data.
-func (s *Scan) Next() ([]value.Value, bool, error) {
-	if err := s.usable(); err != nil {
-		return nil, false, err
-	}
-	for {
-		if s.countOnly > 0 {
-			s.countOnly--
-			return s.out, true, nil
-		}
-		if s.cur != nil && s.selPos < len(s.cur.sel) {
-			r := s.cur.sel[s.selPos]
-			s.selPos++
-			for i := range s.cur.cols {
-				s.out[i] = s.cur.cols[i][r]
-			}
-			return s.out, true, nil
-		}
-		if s.finished {
-			return nil, false, nil
-		}
-		if err := s.advance(); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// NextBatch returns the next chunk of qualifying rows in columnar form,
-// skipping the per-row interface overhead of Next. The batch is valid until
-// the following NextBatch or Next call. A batch may have an empty selection
-// when the pushed-down filter disqualified every row of a chunk, and never
-// spans segments (a chunk belongs to exactly one). Mixing Next and
-// NextBatch is allowed: NextBatch serves whatever of the current chunk Next
-// has not consumed yet.
+// NextBatch returns the next chunk of qualifying rows in columnar form.
+// The batch is valid until the following NextBatch call. Chunks the pushed
+// filter emptied are skipped, and a batch never spans segments (a chunk
+// belongs to exactly one).
 func (s *Scan) NextBatch() (*Batch, bool, error) {
 	if err := s.usable(); err != nil {
 		return nil, false, err
@@ -253,12 +220,7 @@ func (s *Scan) NextBatch() (*Batch, bool, error) {
 			for len(s.countSel) < int(n) {
 				s.countSel = append(s.countSel, int32(len(s.countSel)))
 			}
-			s.batch = Batch{NumRows: int(n), Cols: nil, Sel: s.countSel[:n]}
-			return &s.batch, true, nil
-		}
-		if s.cur != nil && s.selPos < len(s.cur.sel) {
-			s.batch = Batch{NumRows: s.cur.nrows, Cols: s.cur.cols, Sel: s.cur.sel[s.selPos:]}
-			s.selPos = len(s.cur.sel)
+			s.batch = Batch{Sel: s.countSel[:n]}
 			return &s.batch, true, nil
 		}
 		if s.finished {
@@ -266,6 +228,10 @@ func (s *Scan) NextBatch() (*Batch, bool, error) {
 		}
 		if err := s.advance(); err != nil {
 			return nil, false, err
+		}
+		if s.cur != nil && len(s.cur.sel) > 0 {
+			s.batch = Batch{Cols: s.cur.cols, Sel: s.cur.sel}
+			return &s.batch, true, nil
 		}
 	}
 }
@@ -359,10 +325,10 @@ func (s *Scan) nextChunk() error {
 			return err
 		}
 		if s.cur != nil {
-			// The served batch is invalid from here on per the Next/NextBatch
+			// The served batch is invalid from here on per the NextBatch
 			// contract: its buffers go back to the chunk tasks.
 			p.recycle(s.cur)
-			s.cur, s.selPos = nil, 0
+			s.cur = nil
 		}
 		o, err := p.pull()
 		if err == nil {

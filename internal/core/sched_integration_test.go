@@ -25,9 +25,10 @@ func TestPoisonNoStall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rc := rowsOf(sc)
 		// First row starts the pipeline and commits chunk 0 — so a poison
 		// with c=0 is a re-emit of an already-delivered chunk ID.
-		if _, ok, err := sc.Next(); err != nil || !ok {
+		if _, ok, err := rc.Next(); err != nil || !ok {
 			t.Fatalf("first row: ok=%v err=%v", ok, err)
 		}
 		sc.open[0].results <- &chunkOut{c: c, poison: true,
@@ -37,7 +38,7 @@ func TestPoisonNoStall(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			for {
-				if _, ok, err := sc.Next(); err != nil || !ok {
+				if _, ok, err := rc.Next(); err != nil || !ok {
 					done <- err
 					return
 				}

@@ -76,10 +76,11 @@ func collectScanner(t *testing.T, tbl *Table, spec ScanSpec) [][]value.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	defer sc.Close()
 	var out [][]value.Value
 	for {
-		row, ok, err := sc.Next()
+		row, ok, err := rc.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,8 +328,9 @@ func TestShardedEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rowsOf(sc)
 	for i := 0; i < 10; i++ { // well inside shard 0
-		if _, ok, err := sc.Next(); err != nil || !ok {
+		if _, ok, err := rc.Next(); err != nil || !ok {
 			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
 		}
 	}

@@ -39,31 +39,6 @@ func batchRawTable(t *testing.T, rows, parallelism int) *core.Table {
 	return tbl
 }
 
-// drainBatched pulls an operator dry through the batch protocol.
-func drainBatched(t *testing.T, op BatchOperator) [][]value.Value {
-	t.Helper()
-	var out [][]value.Value
-	for {
-		b, ok, err := op.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if err := op.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		for _, r := range b.Sel {
-			row := make([]value.Value, len(b.Cols))
-			for i, col := range b.Cols {
-				row[i] = col[r]
-			}
-			out = append(out, row)
-		}
-	}
-}
-
 func TestRawScanBatched(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		tbl := batchRawTable(t, 300, par)
@@ -72,52 +47,37 @@ func TestRawScanBatched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bop, ok := AsBatched(op)
-		if !ok {
-			t.Fatal("RawScan is not batched")
-		}
-		got := drainBatched(t, bop)
+		got := drain(t, op)
 		if len(got) != 300 || got[42][1].S != "val-42" {
 			t.Fatalf("par=%d rows=%d", par, len(got))
 		}
 	}
 }
 
-// TestFilterProjectBatched checks that Filter and Project pass batches
-// through and produce exactly what the row-at-a-time path produces.
+// TestFilterProjectBatched checks that Filter and Project over a raw scan
+// produce exactly what the row evaluator (vectorization off) produces.
 func TestFilterProjectBatched(t *testing.T) {
-	build := func(par int) (Operator, error) {
+	build := func(par int, vec bool) Operator {
 		tbl := batchRawTable(t, 300, par)
 		var b metrics.Breakdown
 		scan, err := NewRawScan(tbl, core.ScanSpec{Needed: []int{0, 2}, B: &b})
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		pred := compileOver(t, "b < 3", 2) // second output column (c) < 3
 		f := NewFilter(scan, pred, &b)
+		f.SetVectorized(vec)
 		env := expr.NewEnv()
 		env.Add("", "a", value.KindInt)
 		env.Add("", "b", value.KindInt)
 		proj := NewProject(f, []expr.Node{expr.Slot(env, 1), expr.Slot(env, 0)}, &b)
-		return proj, nil
+		proj.SetVectorized(vec)
+		return proj
 	}
 
-	rowOp, err := build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drain(t, rowOp)
-
+	want := drain(t, build(1, false))
 	for _, par := range []int{1, 4} {
-		op, err := build(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bop, ok := AsBatched(op)
-		if !ok {
-			t.Fatal("Project over Filter over RawScan should be batched")
-		}
-		got := drainBatched(t, bop)
+		got := drain(t, build(par, true))
 		if len(got) != len(want) {
 			t.Fatalf("par=%d rows=%d, want %d", par, len(got), len(want))
 		}
@@ -131,20 +91,21 @@ func TestFilterProjectBatched(t *testing.T) {
 	}
 }
 
-// TestBatchedFallback: operators over a non-batched input must report
-// Batched()==false and still work row-at-a-time.
+// TestBatchedFallback: a Filter over a ValuesOp — an input that once had
+// no batch path — narrows the ValuesOp's batches, with the vector kernel
+// and with the row evaluator alike.
 func TestBatchedFallback(t *testing.T) {
-	in := rows(intRow(1, 10), intRow(2, 20), intRow(3, 30))
-	f := NewFilter(in, compileOver(t, "a >= 2", 2), &metrics.Breakdown{})
-	if f.Batched() {
-		t.Error("Filter over ValuesOp claims to be batched")
-	}
-	if _, ok := AsBatched(f); ok {
-		t.Error("AsBatched accepted a non-batched filter")
-	}
-	got := drain(t, f)
-	if len(got) != 2 {
-		t.Fatalf("rows=%d", len(got))
+	for _, vec := range []bool{true, false} {
+		in := rows(intRow(1, 10), intRow(2, 20), intRow(3, 30))
+		f := NewFilter(in, compileOver(t, "a >= 2", 2), &metrics.Breakdown{})
+		f.SetVectorized(vec)
+		if f.Vectorized() != vec {
+			t.Fatalf("Vectorized()=%v, want %v", f.Vectorized(), vec)
+		}
+		got := drain(t, f)
+		if len(got) != 2 || got[0][1].I != 20 || got[1][1].I != 30 {
+			t.Fatalf("vec=%v rows=%v", vec, got)
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
-// Package engine implements the volcano-style (iterator) execution
-// operators shared by every access mode. Only the leaf operators know how a
-// table is stored — RawScan runs over raw CSV through the adaptive in-situ
-// scan, HeapScan and IndexScan over loaded binary heaps — mirroring the
-// paper's design where PostgresRaw overrides just the scan operator and the
-// rest of the query plan is unchanged.
+// Package engine implements the execution operators shared by every access
+// mode. Operators speak one protocol: each pulls core.Batch values (columns
+// plus a selection vector) from its input and hands batches to its
+// consumer. Only the leaf operators know how a table is stored — RawScan
+// runs over raw CSV through the adaptive in-situ scan, HeapScan and
+// IndexScan over loaded binary heaps — mirroring the paper's design where
+// PostgresRaw overrides just the scan operator and the rest of the query
+// plan is unchanged.
 package engine
 
 import (
 	"context"
-	"fmt"
 
 	"nodb/internal/core"
 	"nodb/internal/expr"
@@ -17,10 +18,15 @@ import (
 	"nodb/internal/value"
 )
 
+// batchRows caps the rows of a batch built by an operator that does not
+// pass its input's batches through (materialized results, joins, index
+// fetches). For IndexScan it is also the cancellation grain.
+const batchRows = 512
+
 // ctxDone is the non-blocking cancellation probe used by leaf scans. Every
 // blocking operator (aggregation, sort, join build) ultimately pulls from a
-// leaf, so checking at the leaves bounds cancellation latency to one chunk
-// or page of work without sprinkling checks through every drain loop.
+// leaf, so checking at the leaves bounds cancellation latency to one batch
+// of work without sprinkling checks through every drain loop.
 func ctxDone(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -33,49 +39,23 @@ func ctxDone(ctx context.Context) error {
 	}
 }
 
-// Operator is a pull-based executor node. Next returns a row whose backing
-// slice may be reused by the operator; consumers that retain rows must copy.
+// Operator is a pull-based executor node. NextBatch returns the next batch
+// of rows (see core.Batch for its validity and layout rules); ok=false
+// signals the end of the input.
 type Operator interface {
-	Next() ([]value.Value, bool, error)
+	NextBatch() (*core.Batch, bool, error)
 	Close() error
 }
 
-// Batch is a columnar slice of rows flowing between batch-aware operators:
-// Cols holds one column per output attribute and Sel lists the live row
-// indexes, in order. A batch (and the rows inside it) is valid only until
-// the producer's next NextBatch/Next call; consumers that retain values
-// must copy. Sel may be empty when a whole chunk was filtered out, and Cols
-// may be empty for zero-attribute scans (COUNT(*)), where len(Sel) alone
-// carries the row multiplicity.
-type Batch struct {
-	Cols [][]value.Value
-	Sel  []int32
-}
+// BatchOperator is the former name of Operator, kept only because cmd/bench
+// (frozen between benchmark PRs) spells it; the next benchmark PR deletes
+// the alias.
+type BatchOperator = Operator
 
-// BatchOperator is the batched extension of Operator. Operators implement
-// it when they can serve whole chunks at a time, cutting the per-row
-// interface overhead that dominates warm cache-served scans. Batched
-// reports whether the operator can actually honor NextBatch (e.g. Filter is
-// batched only when its input is); use AsBatched rather than a bare type
-// assertion. Mixing Next and NextBatch on one operator is not supported —
-// drain through one protocol.
-type BatchOperator interface {
-	Operator
-	NextBatch() (*Batch, bool, error)
-	Batched() bool
-}
-
-// AsBatched returns op as a usable batch source, if it is one.
-func AsBatched(op Operator) (BatchOperator, bool) {
-	b, ok := op.(BatchOperator)
-	return b, ok && b.Batched()
-}
-
-// ForEachBatchRow drains a batch source, invoking fn once per selected row
-// with the row assembled into a reused scratch slice. It is the one place
-// that adapts Batch semantics back to row-shaped consumers (aggregation,
-// sort, result materialization).
-func ForEachBatchRow(in BatchOperator, fn func(row []value.Value) error) error {
+// ForEachBatchRow drains in, invoking fn once per selected row with the row
+// assembled into a reused scratch slice. It is the one place that adapts
+// batches back to row-shaped consumers (aggregation, sort, join build).
+func ForEachBatchRow(in Operator, fn func(row []value.Value) error) error {
 	var rowBuf []value.Value
 	for {
 		b, ok, err := in.NextBatch()
@@ -99,12 +79,63 @@ func ForEachBatchRow(in BatchOperator, fn func(row []value.Value) error) error {
 	}
 }
 
+// identity extends buf to the identity selection 0..n-1 and returns it.
+func identity(buf []int32, n int) []int32 {
+	for len(buf) < n {
+		buf = append(buf, int32(len(buf)))
+	}
+	return buf[:n]
+}
+
+// rowBatch assembles an output batch row by row into column buffers that
+// are reused from batch to batch, with an identity selection.
+type rowBatch struct {
+	cols  [][]value.Value
+	n     int
+	ident []int32
+	batch core.Batch
+}
+
+// reset empties the buffers for a batch of width columns, reserving room
+// for hint rows.
+func (rb *rowBatch) reset(width, hint int) {
+	if len(rb.cols) != width {
+		rb.cols = make([][]value.Value, width)
+	}
+	for i := range rb.cols {
+		if cap(rb.cols[i]) < hint {
+			rb.cols[i] = make([]value.Value, 0, hint)
+		}
+		rb.cols[i] = rb.cols[i][:0]
+	}
+	rb.n = 0
+}
+
+// add appends one row.
+func (rb *rowBatch) add(row []value.Value) {
+	for i, v := range row {
+		rb.cols[i] = append(rb.cols[i], v)
+	}
+	rb.n++
+}
+
+// emit returns the rows added since reset as a batch, or ok=false when
+// there are none.
+func (rb *rowBatch) emit() (*core.Batch, bool, error) {
+	if rb.n == 0 {
+		return nil, false, nil
+	}
+	rb.ident = identity(rb.ident, rb.n)
+	rb.batch = core.Batch{Cols: rb.cols, Sel: rb.ident}
+	return &rb.batch, true, nil
+}
+
 // RawScan adapts a core scan (in-situ or baseline raw access, whatever the
-// table's segment layout) to the operator interface. Filter pushdown
-// happened at construction via the ScanSpec.
+// table's segment layout) to the operator interface: the scan's chunk
+// batches pass through as they are. Filter pushdown happened at
+// construction via the ScanSpec.
 type RawScan struct {
-	sc    *core.Scan
-	batch Batch
+	sc *core.Scan
 }
 
 // NewRawScan opens the in-situ scan.
@@ -116,29 +147,14 @@ func NewRawScan(t *core.Table, spec core.ScanSpec) (*RawScan, error) {
 	return &RawScan{sc: sc}, nil
 }
 
-// Next implements Operator.
-func (o *RawScan) Next() ([]value.Value, bool, error) { return o.sc.Next() }
-
-// NextBatch implements BatchOperator, surfacing the scan's chunk batches.
-func (o *RawScan) NextBatch() (*Batch, bool, error) {
-	cb, ok, err := o.sc.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	o.batch.Cols = cb.Cols
-	o.batch.Sel = cb.Sel
-	return &o.batch, true, nil
-}
-
-// Batched implements BatchOperator.
-func (o *RawScan) Batched() bool { return true }
+// NextBatch implements Operator.
+func (o *RawScan) NextBatch() (*core.Batch, bool, error) { return o.sc.NextBatch() }
 
 // Close implements Operator.
 func (o *RawScan) Close() error { return o.sc.Close() }
 
-// HeapScan reads a loaded heap table, emitting only the referenced
-// attributes (in refAttrs order). Pages are decoded as whole batches so the
-// per-row cost is a slice handoff.
+// HeapScan reads a loaded heap table one page per batch, emitting only the
+// referenced attributes (in refAttrs order).
 type HeapScan struct {
 	t        *storage.Table
 	refAttrs []int
@@ -148,10 +164,8 @@ type HeapScan struct {
 
 	pageBuf []byte
 	decoded []value.Value
-	batch   []value.Value // page rows, len = nrows*len(refAttrs)
-	nrows   int
-	row     int
 	page    int
+	out     rowBatch
 }
 
 // NewHeapScan creates a heap scan producing refAttrs in order.
@@ -170,19 +184,13 @@ func NewHeapScan(t *storage.Table, refAttrs []int, b *metrics.Breakdown) *HeapSc
 	}
 }
 
-// SetContext makes the scan cancellable: Next returns ctx.Err() at the next
-// page boundary once ctx is done.
+// SetContext makes the scan cancellable: NextBatch returns ctx.Err() at the
+// next page boundary once ctx is done.
 func (o *HeapScan) SetContext(ctx context.Context) { o.ctx = ctx }
 
-// Next implements Operator.
-func (o *HeapScan) Next() ([]value.Value, bool, error) {
+// NextBatch implements Operator.
+func (o *HeapScan) NextBatch() (*core.Batch, bool, error) {
 	for {
-		if o.row < o.nrows {
-			w := len(o.refAttrs)
-			out := o.batch[o.row*w : (o.row+1)*w]
-			o.row++
-			return out, true, nil
-		}
 		if err := ctxDone(o.ctx); err != nil {
 			return nil, false, err
 		}
@@ -195,11 +203,7 @@ func (o *HeapScan) Next() ([]value.Value, bool, error) {
 		}
 		o.page++
 		n := p.NumSlots()
-		w := len(o.refAttrs)
-		if cap(o.batch) < n*w {
-			o.batch = make([]value.Value, n*w)
-		}
-		o.batch = o.batch[:n*w]
+		o.out.reset(len(o.refAttrs), n)
 		for s := 0; s < n; s++ {
 			tb, err := p.Tuple(s)
 			if err != nil {
@@ -209,12 +213,14 @@ func (o *HeapScan) Next() ([]value.Value, bool, error) {
 				return nil, false, err
 			}
 			for i, a := range o.refAttrs {
-				o.batch[s*w+i] = o.decoded[a]
+				o.out.cols[i] = append(o.out.cols[i], o.decoded[a])
 			}
+			o.out.n++
 		}
 		o.b.RowsScanned += int64(n)
-		o.nrows = n
-		o.row = 0
+		if n > 0 {
+			return o.out.emit()
+		}
 	}
 }
 
@@ -222,7 +228,8 @@ func (o *HeapScan) Next() ([]value.Value, bool, error) {
 func (o *HeapScan) Close() error { return nil }
 
 // IndexScan fetches rows through a B+tree (the DBMS X access path after its
-// load+index initialization), emitting refAttrs in order.
+// load+index initialization), emitting refAttrs in order, batchRows rids
+// per batch.
 type IndexScan struct {
 	t        *storage.Table
 	rids     []storage.RID
@@ -233,8 +240,8 @@ type IndexScan struct {
 
 	pageBuf []byte
 	decoded []value.Value
-	out     []value.Value
 	pos     int
+	out     rowBatch
 }
 
 // NewIndexScan creates an index scan over a precomputed RID list.
@@ -251,44 +258,43 @@ func NewIndexScan(t *storage.Table, rids []storage.RID, refAttrs []int, b *metri
 		b:        b,
 		pageBuf:  make([]byte, storage.PageSize),
 		decoded:  make([]value.Value, t.Schema.Len()),
-		out:      make([]value.Value, len(refAttrs)),
 	}
 }
 
-// SetContext makes the scan cancellable: Next returns ctx.Err() within a
-// bounded number of row fetches once ctx is done.
+// SetContext makes the scan cancellable: NextBatch returns ctx.Err() within
+// one batch (batchRows fetches) once ctx is done.
 func (o *IndexScan) SetContext(ctx context.Context) { o.ctx = ctx }
 
-// Next implements Operator.
-func (o *IndexScan) Next() ([]value.Value, bool, error) {
-	if o.pos&511 == 0 {
-		if err := ctxDone(o.ctx); err != nil {
+// NextBatch implements Operator.
+func (o *IndexScan) NextBatch() (*core.Batch, bool, error) {
+	o.out.reset(len(o.refAttrs), min(len(o.rids)-o.pos, batchRows))
+	for o.out.n < batchRows && o.pos < len(o.rids) {
+		// Batches start at multiples of batchRows: one probe per batch.
+		if o.pos%batchRows == 0 {
+			if err := ctxDone(o.ctx); err != nil {
+				return nil, false, err
+			}
+		}
+		if err := o.t.Fetch(o.rids[o.pos], o.want, o.pageBuf, o.decoded, o.b); err != nil {
 			return nil, false, err
 		}
+		o.pos++
+		for i, a := range o.refAttrs {
+			o.out.cols[i] = append(o.out.cols[i], o.decoded[a])
+		}
+		o.out.n++
 	}
-	if o.pos >= len(o.rids) {
-		return nil, false, nil
-	}
-	rid := o.rids[o.pos]
-	o.pos++
-	if err := o.t.Fetch(rid, o.want, o.pageBuf, o.decoded, o.b); err != nil {
-		return nil, false, err
-	}
-	for i, a := range o.refAttrs {
-		o.out[i] = o.decoded[a]
-	}
-	o.b.RowsScanned++
-	return o.out, true, nil
+	o.b.RowsScanned += int64(o.out.n)
+	return o.out.emit()
 }
 
 // Close implements Operator.
 func (o *IndexScan) Close() error { return nil }
 
-// Filter drops rows whose predicate is not TRUE. When the predicate has a
-// vector kernel (expr.CompileVec) and the input is batched, NextBatch
-// narrows the selection column-at-a-time without assembling scratch rows;
-// otherwise it falls back to row-at-a-time evaluation for this one
-// predicate.
+// Filter drops rows whose predicate is not TRUE by narrowing each input
+// batch's selection vector. When the predicate has a vector kernel
+// (expr.CompileVec) it evaluates column-at-a-time; otherwise it evaluates
+// the selected rows one at a time.
 type Filter struct {
 	in       Operator
 	pred     expr.Node
@@ -297,14 +303,14 @@ type Filter struct {
 	vecTried bool
 	b        *metrics.Breakdown
 
-	batch  Batch
+	batch  core.Batch
 	selBuf []int32
 	rowBuf []value.Value
 }
 
 // NewFilter wraps in with a predicate. The vector kernel compiles lazily,
-// on the first batch (or Vectorized probe), so plans that never run the
-// batch path — non-batched inputs, DisableVectorized — pay nothing for it.
+// on the first batch (or Vectorized probe), so DisableVectorized plans pay
+// nothing for it.
 func NewFilter(in Operator, pred expr.Node, b *metrics.Breakdown) *Filter {
 	return &Filter{in: in, pred: pred, b: b, vecOn: true}
 }
@@ -331,44 +337,15 @@ func (o *Filter) ensureVec() {
 	}
 }
 
-// Vectorized reports whether the predicate evaluates column-at-a-time on
-// the batch path.
+// Vectorized reports whether the predicate evaluates column-at-a-time.
 func (o *Filter) Vectorized() bool {
 	o.ensureVec()
 	return o.vec != nil
 }
 
-// Next implements Operator.
-func (o *Filter) Next() ([]value.Value, bool, error) {
-	for {
-		row, ok, err := o.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v, err := o.pred.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsTrue() {
-			return row, true, nil
-		}
-	}
-}
-
-// Batched implements BatchOperator: a filter is batched when its input is.
-func (o *Filter) Batched() bool {
-	b, ok := o.in.(BatchOperator)
-	return ok && b.Batched()
-}
-
-// NextBatch narrows the input batch's selection vector in place of pulling
-// rows one interface call at a time.
-func (o *Filter) NextBatch() (*Batch, bool, error) {
-	in, ok := o.in.(BatchOperator)
-	if !ok {
-		return nil, false, fmt.Errorf("engine: Filter input is not batched")
-	}
-	b, ok, err := in.NextBatch()
+// NextBatch implements Operator.
+func (o *Filter) NextBatch() (*core.Batch, bool, error) {
+	b, ok, err := o.in.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -410,10 +387,11 @@ func (o *Filter) NextBatch() (*Batch, bool, error) {
 // Close implements Operator.
 func (o *Filter) Close() error { return o.in.Close() }
 
-// Project computes output expressions. On the batch path each expression
-// with a vector kernel evaluates column-at-a-time; expressions without one
-// (e.g. scalar function calls) fall back to row-at-a-time individually, so
-// one uncovered expression does not demote the whole projection.
+// Project computes output expressions into dense columns with an identity
+// selection. Each expression with a vector kernel evaluates
+// column-at-a-time; expressions without one (e.g. scalar function calls)
+// fall back to row-at-a-time individually, so one uncovered expression
+// does not demote the whole projection.
 type Project struct {
 	in       Operator
 	exprs    []expr.Node
@@ -422,21 +400,19 @@ type Project struct {
 	vecOn    bool
 	vecTried bool
 	b        *metrics.Breakdown
-	out      []value.Value
 
-	batch    Batch
+	batch    core.Batch
 	cols     [][]value.Value
 	selIdent []int32
 	rowBuf   []value.Value
 }
 
 // NewProject wraps in with projection expressions. Vector kernels compile
-// lazily, on the first batch (or Vectorized probe), so plans that never
-// run the batch path pay nothing for them.
+// lazily, on the first batch (or Vectorized probe), so DisableVectorized
+// plans pay nothing for them.
 func NewProject(in Operator, exprs []expr.Node, b *metrics.Breakdown) *Project {
 	return &Project{
 		in: in, exprs: exprs, b: b,
-		out:   make([]value.Value, len(exprs)),
 		vecs:  make([]*expr.VecEval, len(exprs)),
 		vecOn: true,
 	}
@@ -468,43 +444,15 @@ func (o *Project) ensureVecs() {
 }
 
 // Vectorized reports whether every projection expression evaluates
-// column-at-a-time on the batch path.
+// column-at-a-time.
 func (o *Project) Vectorized() bool {
 	o.ensureVecs()
 	return len(o.exprs) > 0 && o.nVec == len(o.exprs)
 }
 
-// Next implements Operator.
-func (o *Project) Next() ([]value.Value, bool, error) {
-	row, ok, err := o.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	for i, e := range o.exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		o.out[i] = v
-	}
-	return o.out, true, nil
-}
-
-// Batched implements BatchOperator: a projection is batched when its input
-// is.
-func (o *Project) Batched() bool {
-	b, ok := o.in.(BatchOperator)
-	return ok && b.Batched()
-}
-
-// NextBatch evaluates the projection over one input batch, producing dense
-// output columns with an identity selection.
-func (o *Project) NextBatch() (*Batch, bool, error) {
-	in, ok := o.in.(BatchOperator)
-	if !ok {
-		return nil, false, fmt.Errorf("engine: Project input is not batched")
-	}
-	b, ok, err := in.NextBatch()
+// NextBatch implements Operator.
+func (o *Project) NextBatch() (*core.Batch, bool, error) {
+	b, ok, err := o.in.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -551,24 +499,24 @@ func (o *Project) NextBatch() (*Batch, bool, error) {
 			}
 		}
 	}
-	for len(o.selIdent) < n {
-		o.selIdent = append(o.selIdent, int32(len(o.selIdent)))
-	}
+	o.selIdent = identity(o.selIdent, n)
 	o.batch.Cols = o.cols
-	o.batch.Sel = o.selIdent[:n]
+	o.batch.Sel = o.selIdent
 	return &o.batch, true, nil
 }
 
 // Close implements Operator.
 func (o *Project) Close() error { return o.in.Close() }
 
-// Limit implements OFFSET/LIMIT.
+// Limit implements OFFSET/LIMIT by trimming input selections. Once the
+// limit is met it stops pulling, so an early-closed scan does no more work.
 type Limit struct {
 	in      Operator
 	offset  int64
 	limit   int64 // -1 = unlimited
 	skipped int64
 	emitted int64
+	batch   core.Batch
 }
 
 // NewLimit wraps in with offset/limit (limit -1 = no limit).
@@ -576,33 +524,43 @@ func NewLimit(in Operator, offset, limit int64) *Limit {
 	return &Limit{in: in, offset: offset, limit: limit}
 }
 
-// Next implements Operator.
-func (o *Limit) Next() ([]value.Value, bool, error) {
-	for {
-		if o.limit >= 0 && o.emitted >= o.limit {
-			return nil, false, nil
-		}
-		row, ok, err := o.in.Next()
+// NextBatch implements Operator.
+func (o *Limit) NextBatch() (*core.Batch, bool, error) {
+	for o.limit < 0 || o.emitted < o.limit {
+		b, ok, err := o.in.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if o.skipped < o.offset {
-			o.skipped++
+		sel := b.Sel
+		skip := min(o.offset-o.skipped, int64(len(sel)))
+		o.skipped += skip
+		sel = sel[skip:]
+		if o.limit >= 0 {
+			sel = sel[:min(o.limit-o.emitted, int64(len(sel)))]
+		}
+		if len(sel) == 0 {
 			continue
 		}
-		o.emitted++
-		return row, true, nil
+		o.emitted += int64(len(sel))
+		o.batch = core.Batch{Cols: b.Cols, Sel: sel}
+		return &o.batch, true, nil
 	}
+	return nil, false, nil
 }
 
 // Close implements Operator.
 func (o *Limit) Close() error { return o.in.Close() }
 
-// Distinct deduplicates rows by all columns.
+// Distinct deduplicates rows by all columns, narrowing each input batch's
+// selection to the rows not seen before.
 type Distinct struct {
-	in   Operator
-	b    *metrics.Breakdown
-	seen map[string]bool
+	in     Operator
+	b      *metrics.Breakdown
+	seen   map[string]bool
+	key    []byte
+	rowBuf []value.Value
+	selBuf []int32
+	batch  core.Batch
 }
 
 // NewDistinct wraps in with duplicate elimination.
@@ -610,22 +568,28 @@ func NewDistinct(in Operator, b *metrics.Breakdown) *Distinct {
 	return &Distinct{in: in, b: b, seen: make(map[string]bool)}
 }
 
-// Next implements Operator.
-func (o *Distinct) Next() ([]value.Value, bool, error) {
-	for {
-		row, ok, err := o.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
+// NextBatch implements Operator.
+func (o *Distinct) NextBatch() (*core.Batch, bool, error) {
+	b, ok, err := o.in.NextBatch()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	if o.rowBuf == nil {
+		o.rowBuf = make([]value.Value, len(b.Cols))
+	}
+	o.selBuf = o.selBuf[:0]
+	for _, r := range b.Sel {
+		for i, col := range b.Cols {
+			o.rowBuf[i] = col[r]
 		}
-		key := rowKey(row)
-		dup := o.seen[key]
-		if !dup {
-			o.seen[key] = true
-		}
-		if !dup {
-			return row, true, nil
+		o.key = value.AppendGroupKey(o.key[:0], o.rowBuf)
+		if !o.seen[string(o.key)] {
+			o.seen[string(o.key)] = true
+			o.selBuf = append(o.selBuf, r)
 		}
 	}
+	o.batch = core.Batch{Cols: b.Cols, Sel: o.selBuf}
+	return &o.batch, true, nil
 }
 
 // Close implements Operator.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,19 +23,17 @@ func rows(vals ...[]value.Value) *ValuesOp { return &ValuesOp{Rows: vals} }
 func drain(t *testing.T, op Operator) [][]value.Value {
 	t.Helper()
 	var out [][]value.Value
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if err := op.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
+	err := ForEachBatchRow(op, func(row []value.Value) error {
 		out = append(out, copyRow(row))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // compileOver compiles a WHERE-style condition against a simple env of int
@@ -410,6 +410,33 @@ func TestIndexScanOperator(t *testing.T) {
 	}
 }
 
+// TestLeafScansCancelPerBatch: a heap scan stops at the next page and an
+// index scan within batchRows fetches once the context is done.
+func TestLeafScansCancelPerBatch(t *testing.T) {
+	tbl := loadHeap(t, 2000, storage.LoadOptions{IndexAttrs: []int{0}})
+	ix, _ := tbl.Index(0)
+	heap := NewHeapScan(tbl, []int{0}, &metrics.Breakdown{})
+	index := NewIndexScan(tbl, ix.SearchRange(value.Int(0), value.Int(1999), true, true), []int{0}, &metrics.Breakdown{})
+	for _, tc := range []struct {
+		name string
+		op   interface {
+			Operator
+			SetContext(context.Context)
+		}
+	}{{"heap", heap}, {"index", index}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tc.op.SetContext(ctx)
+		b, ok, err := tc.op.NextBatch()
+		if err != nil || !ok || len(b.Sel) == 0 || len(b.Sel) > batchRows {
+			t.Fatalf("%s: first batch: ok=%v err=%v", tc.name, ok, err)
+		}
+		cancel()
+		if _, _, err := tc.op.NextBatch(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: after cancel: want context.Canceled, got %v", tc.name, err)
+		}
+	}
+}
+
 func TestOperatorChain(t *testing.T) {
 	// filter -> agg -> sort over a heap scan: an end-to-end operator stack.
 	tbl := loadHeap(t, 1000, storage.LoadOptions{})
@@ -440,6 +467,46 @@ func TestOperatorChain(t *testing.T) {
 	for g := 0; g < 5; g++ {
 		if got[g][0].I != int64(g) || got[g][1].I != 20 {
 			t.Fatalf("group %d=%v", g, got[g])
+		}
+	}
+}
+
+// TestJoinProbeAllocsFlat: the joins walk probe batches in place and reuse
+// their output buffers, so the allocations of a join do not grow with the
+// probe side — 10k and 20k probe rows against the same build side
+// allocate the same.
+func TestJoinProbeAllocsFlat(t *testing.T) {
+	var build [][]value.Value
+	for i := int64(0); i < 64; i++ {
+		build = append(build, intRow(i, i*10))
+	}
+	probeKeys, buildKeys := joinEnv()
+	joins := map[string]func(left Operator) Operator{
+		"hash": func(left Operator) Operator {
+			return NewHashJoin(left, rows(build...), probeKeys, buildKeys, nil, true, 2, &metrics.Breakdown{})
+		},
+		"nested-loop": func(left Operator) Operator {
+			on := compileOver(t, "a = c", 4)
+			return NewNLJoin(left, rows(build[:4]...), on, true, 2, &metrics.Breakdown{})
+		},
+	}
+	for _, name := range []string{"hash", "nested-loop"} {
+		allocs := func(n int) float64 {
+			var probe [][]value.Value
+			for i := 0; i < n; i++ {
+				probe = append(probe, intRow(int64(i%128), int64(i)))
+			}
+			return testing.AllocsPerRun(3, func() {
+				op := joins[name](rows(probe...))
+				if err := ForEachBatchRow(op, func([]value.Value) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				op.Close()
+			})
+		}
+		small, large := allocs(10_000), allocs(20_000)
+		if large > small+8 {
+			t.Errorf("%s join: %.0f allocations for 10k probe rows, %.0f for 20k", name, small, large)
 		}
 	}
 }

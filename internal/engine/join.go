@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"nodb/internal/core"
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
 	"nodb/internal/value"
 )
 
 // HashJoin performs an equi-join: it materializes the right (build) side
-// into a hash table keyed by the build key expressions, then streams the
-// left (probe) side. Output rows are the concatenation left ++ right. With
-// LeftOuter set, unmatched left rows are emitted padded with NULLs.
+// into a hash table keyed by the build key expressions, then walks each
+// left (probe) batch's selection in place. Output rows are the
+// concatenation left ++ right, batchRows per output batch. With LeftOuter
+// set, unmatched left rows are emitted padded with NULLs.
 type HashJoin struct {
 	left, right          Operator
 	probeKeys, buildKeys []expr.Node
@@ -20,11 +22,18 @@ type HashJoin struct {
 
 	built   bool
 	table   map[string][][]value.Value
-	cur     []([]value.Value) // matches for the current probe row
-	curRow  []value.Value     // current probe row (copied)
-	curIdx  int
+	keyVals []value.Value
+	key     []byte
+
+	probe   *core.Batch     // current probe batch; nil once the left side ends
+	pi      int             // next position in probe.Sel
+	row     []value.Value   // current probe row ++ candidate build row
+	lw      int             // probe (left) width
+	matches [][]value.Value // build rows for the current probe row
+	mi      int
+	current bool // a probe row is in row and not yet finished
 	matched bool
-	out     []value.Value
+	out     rowBatch
 }
 
 // NewHashJoin constructs a hash join. rightWidth is the arity of the build
@@ -35,56 +44,92 @@ func NewHashJoin(left, right Operator, probeKeys, buildKeys []expr.Node, residua
 		probeKeys: probeKeys, buildKeys: buildKeys,
 		residual: residual, leftOuter: leftOuter,
 		rightWidth: rightWidth, b: b,
+		keyVals: make([]value.Value, len(probeKeys)),
 	}
 }
 
+// NewNLJoin constructs a nested-loop join for CROSS joins and non-equi ON
+// conditions: a hash join without keys, so every build row sits in the one
+// bucket and on (nil for CROSS) runs as the residual over the concatenated
+// row.
+func NewNLJoin(left, right Operator, on expr.Node, leftOuter bool, rightWidth int, b *metrics.Breakdown) *HashJoin {
+	return NewHashJoin(left, right, nil, nil, on, leftOuter, rightWidth, b)
+}
+
+// build hashes the right side and pulls the first probe batch, which fixes
+// the output width.
 func (o *HashJoin) build() error {
 	o.table = make(map[string][][]value.Value)
 	keyBuf := make([]value.Value, len(o.buildKeys))
-	for {
-		row, ok, err := o.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		skip := false
+	err := ForEachBatchRow(o.right, func(row []value.Value) error {
 		for i, k := range o.buildKeys {
 			v, err := k.Eval(row)
 			if err != nil {
 				return err
 			}
 			if v.IsNull() {
-				skip = true // NULL keys never join
-				break
+				return nil // NULL keys never join
 			}
 			keyBuf[i] = v
 		}
-		if !skip {
-			key := rowKey(keyBuf)
-			o.table[key] = append(o.table[key], copyRow(row))
-		}
+		key := rowKey(keyBuf)
+		o.table[key] = append(o.table[key], copyRow(row))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	return o.nextProbe()
 }
 
-// Next implements Operator.
-func (o *HashJoin) Next() ([]value.Value, bool, error) {
+// nextProbe pulls the next probe batch; o.probe is nil once there is none.
+func (o *HashJoin) nextProbe() error {
+	b, ok, err := o.left.NextBatch()
+	if err != nil {
+		return err
+	}
+	o.probe, o.pi = nil, 0
+	if ok {
+		o.probe = b
+		if o.row == nil {
+			o.lw = len(b.Cols)
+			o.row = make([]value.Value, o.lw+o.rightWidth)
+		}
+	}
+	return nil
+}
+
+// lookup returns the build rows matching the probe row in o.row.
+func (o *HashJoin) lookup() ([][]value.Value, error) {
+	for i, k := range o.probeKeys {
+		v, err := k.Eval(o.row)
+		if err != nil {
+			return nil, err
+		}
+		if v.IsNull() {
+			return nil, nil // NULL keys never join
+		}
+		o.keyVals[i] = v
+	}
+	o.key = value.AppendGroupKey(o.key[:0], o.keyVals)
+	return o.table[string(o.key)], nil
+}
+
+// NextBatch implements Operator.
+func (o *HashJoin) NextBatch() (*core.Batch, bool, error) {
 	if !o.built {
 		if err := o.build(); err != nil {
 			return nil, false, err
 		}
 		o.built = true
 	}
-	keyBuf := make([]value.Value, len(o.probeKeys))
-	for {
-		// Emit pending matches for the current probe row.
-		for o.cur != nil && o.curIdx < len(o.cur) {
-			right := o.cur[o.curIdx]
-			o.curIdx++
-			out := o.emit(o.curRow, right)
+	o.out.reset(len(o.row), 0)
+	for o.out.n < batchRows {
+		if o.mi < len(o.matches) {
+			copy(o.row[o.lw:], o.matches[o.mi])
+			o.mi++
 			if o.residual != nil {
-				v, err := o.residual.Eval(out)
+				v, err := o.residual.Eval(o.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -93,60 +138,37 @@ func (o *HashJoin) Next() ([]value.Value, bool, error) {
 				}
 			}
 			o.matched = true
-			return out, true, nil
+			o.out.add(o.row)
+			continue
 		}
-		if o.cur != nil && o.leftOuter && !o.matched {
-			o.cur = nil
-			return o.emit(o.curRow, nil), true, nil
+		if o.current && o.leftOuter && !o.matched {
+			for i := o.lw; i < len(o.row); i++ {
+				o.row[i] = value.Null()
+			}
+			o.out.add(o.row)
 		}
-		o.cur = nil
-
-		// Advance the probe side.
-		row, ok, err := o.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		o.current = false
+		if o.probe == nil {
+			break
 		}
-		nullKey := false
-		for i, k := range o.probeKeys {
-			v, err := k.Eval(row)
-			if err != nil {
+		if o.pi >= len(o.probe.Sel) {
+			if err := o.nextProbe(); err != nil {
 				return nil, false, err
 			}
-			if v.IsNull() {
-				nullKey = true
-				break
-			}
-			keyBuf[i] = v
+			continue
 		}
-		o.curRow = copyRow(row)
-		o.matched = false
-		if nullKey {
-			o.cur = [][]value.Value{}
-		} else {
-			o.cur = o.table[rowKey(keyBuf)]
-			if o.cur == nil {
-				o.cur = [][]value.Value{}
-			}
+		r := o.probe.Sel[o.pi]
+		o.pi++
+		for i, col := range o.probe.Cols {
+			o.row[i] = col[r]
 		}
-		o.curIdx = 0
-	}
-}
-
-// emit concatenates a probe row with a build row (nil build = NULL padding).
-func (o *HashJoin) emit(left, right []value.Value) []value.Value {
-	if cap(o.out) < len(left)+o.rightWidth {
-		o.out = make([]value.Value, len(left)+o.rightWidth)
-	}
-	o.out = o.out[:len(left)+o.rightWidth]
-	copy(o.out, left)
-	if right == nil {
-		for i := 0; i < o.rightWidth; i++ {
-			o.out[len(left)+i] = value.Null()
+		m, err := o.lookup()
+		if err != nil {
+			return nil, false, err
 		}
-	} else {
-		copy(o.out[len(left):], right)
+		o.matches, o.mi, o.matched, o.current = m, 0, false, true
 	}
-	return o.out
+	return o.out.emit()
 }
 
 // Close implements Operator.
@@ -159,127 +181,26 @@ func (o *HashJoin) Close() error {
 	return err2
 }
 
-// NLJoin is a nested-loop join for CROSS joins and non-equi ON conditions.
-// The right side is materialized once. On (may be nil for CROSS) is
-// evaluated over the concatenated row. LeftOuter pads unmatched left rows.
-type NLJoin struct {
-	left, right Operator
-	on          expr.Node
-	leftOuter   bool
-	rightWidth  int
-	b           *metrics.Breakdown
-
-	built   bool
-	rights  [][]value.Value
-	curRow  []value.Value
-	curIdx  int
-	haveCur bool
-	matched bool
-	out     []value.Value
-}
-
-// NewNLJoin constructs a nested-loop join.
-func NewNLJoin(left, right Operator, on expr.Node, leftOuter bool, rightWidth int, b *metrics.Breakdown) *NLJoin {
-	return &NLJoin{left: left, right: right, on: on, leftOuter: leftOuter, rightWidth: rightWidth, b: b}
-}
-
-func (o *NLJoin) build() error {
-	for {
-		row, ok, err := o.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		o.rights = append(o.rights, copyRow(row))
-	}
-}
-
-// Next implements Operator.
-func (o *NLJoin) Next() ([]value.Value, bool, error) {
-	if !o.built {
-		if err := o.build(); err != nil {
-			return nil, false, err
-		}
-		o.built = true
-	}
-	for {
-		if o.haveCur {
-			for o.curIdx < len(o.rights) {
-				right := o.rights[o.curIdx]
-				o.curIdx++
-				out := o.emit(o.curRow, right)
-				if o.on != nil {
-					v, err := o.on.Eval(out)
-					if err != nil {
-						return nil, false, err
-					}
-					if !v.IsTrue() {
-						continue
-					}
-				}
-				o.matched = true
-				return out, true, nil
-			}
-			if o.leftOuter && !o.matched {
-				o.haveCur = false
-				return o.emit(o.curRow, nil), true, nil
-			}
-			o.haveCur = false
-		}
-		row, ok, err := o.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		o.curRow = copyRow(row)
-		o.curIdx = 0
-		o.matched = false
-		o.haveCur = true
-	}
-}
-
-func (o *NLJoin) emit(left, right []value.Value) []value.Value {
-	if cap(o.out) < len(left)+o.rightWidth {
-		o.out = make([]value.Value, len(left)+o.rightWidth)
-	}
-	o.out = o.out[:len(left)+o.rightWidth]
-	copy(o.out, left)
-	if right == nil {
-		for i := 0; i < o.rightWidth; i++ {
-			o.out[len(left)+i] = value.Null()
-		}
-	} else {
-		copy(o.out[len(left):], right)
-	}
-	return o.out
-}
-
-// Close implements Operator.
-func (o *NLJoin) Close() error {
-	err1 := o.left.Close()
-	err2 := o.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// ValuesOp replays a fixed set of rows; used by tests and by the planner for
-// metadata-only answers.
+// ValuesOp replays a fixed set of rows, batchRows per batch; used by tests
+// and for results that need no execution (EXPLAIN, catalog listings).
 type ValuesOp struct {
 	Rows [][]value.Value
 	pos  int
+	out  rowBatch
 }
 
-// Next implements Operator.
-func (o *ValuesOp) Next() ([]value.Value, bool, error) {
-	if o.pos >= len(o.Rows) {
+// NextBatch implements Operator.
+func (o *ValuesOp) NextBatch() (*core.Batch, bool, error) {
+	n := min(len(o.Rows)-o.pos, batchRows)
+	if n == 0 {
 		return nil, false, nil
 	}
-	r := o.Rows[o.pos]
-	o.pos++
-	return r, true, nil
+	o.out.reset(len(o.Rows[o.pos]), n)
+	for _, r := range o.Rows[o.pos : o.pos+n] {
+		o.out.add(r)
+	}
+	o.pos += n
+	return o.out.emit()
 }
 
 // Close implements Operator.

@@ -14,36 +14,11 @@ import (
 // selection vectors are already narrowed (as if an upstream operator had
 // filtered), so tests can observe exactly which rows a consumer touches.
 type batchStub struct {
-	batches []*Batch
+	batches []*core.Batch
 	pos     int
-	selPos  int
-	out     []value.Value
 }
 
-func (s *batchStub) Next() ([]value.Value, bool, error) {
-	for {
-		if s.pos >= len(s.batches) {
-			return nil, false, nil
-		}
-		b := s.batches[s.pos]
-		if s.selPos >= len(b.Sel) {
-			s.pos++
-			s.selPos = 0
-			continue
-		}
-		r := b.Sel[s.selPos]
-		s.selPos++
-		if s.out == nil {
-			s.out = make([]value.Value, len(b.Cols))
-		}
-		for i, col := range b.Cols {
-			s.out[i] = col[r]
-		}
-		return s.out, true, nil
-	}
-}
-
-func (s *batchStub) NextBatch() (*Batch, bool, error) {
+func (s *batchStub) NextBatch() (*core.Batch, bool, error) {
 	if s.pos >= len(s.batches) {
 		return nil, false, nil
 	}
@@ -52,8 +27,7 @@ func (s *batchStub) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-func (s *batchStub) Batched() bool { return true }
-func (s *batchStub) Close() error  { return nil }
+func (s *batchStub) Close() error { return nil }
 
 // stubBatches builds two batches over one int column a = 0..7 with
 // pre-narrowed selections [1 3 5] and [0 7].
@@ -62,7 +36,7 @@ func stubBatches() *batchStub {
 	for i := range col {
 		col[i] = value.Int(int64(i))
 	}
-	return &batchStub{batches: []*Batch{
+	return &batchStub{batches: []*core.Batch{
 		{Cols: [][]value.Value{col}, Sel: []int32{1, 3, 5}},
 		{Cols: [][]value.Value{col}, Sel: []int32{0, 7}},
 	}}
@@ -94,7 +68,7 @@ func TestFilterRowFallbackEvaluatesOnlySelectedRows(t *testing.T) {
 	if f.Vectorized() {
 		t.Fatal("counting predicate must not vectorize")
 	}
-	got := drainBatched(t, f)
+	got := drain(t, f)
 	if calls != 5 {
 		t.Fatalf("predicate evaluated %d times over selections [1 3 5]+[0 7], want 5", calls)
 	}
@@ -116,12 +90,12 @@ func TestFilterVecNarrowedSelection(t *testing.T) {
 	if !vf.Vectorized() {
 		t.Fatal("arithmetic predicate should vectorize")
 	}
-	vecRows := drainBatched(t, vf)
+	vecRows := drain(t, vf)
 
 	var rb metrics.Breakdown
 	rf := NewFilter(stubBatches(), pred, &rb)
 	rf.SetVectorized(false)
-	rowRows := drainBatched(t, rf)
+	rowRows := drain(t, rf)
 
 	if len(vecRows) != len(rowRows) {
 		t.Fatalf("vec=%d rows, row=%d rows", len(vecRows), len(rowRows))
@@ -174,14 +148,14 @@ func TestProjectPartialVectorization(t *testing.T) {
 	exprs := parse("SELECT a * 2, a IN (1, a + 3), s FROM t")
 
 	run := func(vec bool) ([][]value.Value, *metrics.Breakdown) {
-		stub := &batchStub{batches: []*Batch{{Cols: mkCols(), Sel: []int32{0, 1, 2, 3}}}}
+		stub := &batchStub{batches: []*core.Batch{{Cols: mkCols(), Sel: []int32{0, 1, 2, 3}}}}
 		var b metrics.Breakdown
 		p := NewProject(stub, exprs, &b)
 		p.SetVectorized(vec)
 		if vec && p.Vectorized() {
 			t.Fatal("the non-constant IN list should demote Vectorized() to false")
 		}
-		return drainBatched(t, p), &b
+		return drain(t, p), &b
 	}
 	vecOut, vb := run(true)
 	rowOut, rb := run(false)
@@ -222,7 +196,7 @@ func TestFilterVecOverRawScan(t *testing.T) {
 			if f.Vectorized() != vec {
 				t.Fatalf("Vectorized()=%v, want %v", f.Vectorized(), vec)
 			}
-			return drainBatched(t, f)
+			return drain(t, f)
 		}
 		for pass := 0; pass < 2; pass++ { // cold, then warm (cache-served)
 			vecRows := run(true)

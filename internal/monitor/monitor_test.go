@@ -46,7 +46,7 @@ func scanAll(t *testing.T, tbl *core.Table, attrs []int) {
 	}
 	defer sc.Close()
 	for {
-		_, ok, err := sc.Next()
+		_, ok, err := sc.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}

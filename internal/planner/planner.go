@@ -197,13 +197,9 @@ func closeQuiet(op engine.Operator) {
 }
 
 // vecMark renders the EXPLAIN " vec" marker for operators whose
-// expressions actually evaluate column-at-a-time: the evaluator compiled
-// and the operator sits on a batch-producing input.
-func vecMark(op interface {
-	Batched() bool
-	Vectorized() bool
-}) string {
-	if op.Batched() && op.Vectorized() {
+// expressions evaluate column-at-a-time.
+func vecMark(op interface{ Vectorized() bool }) string {
+	if op.Vectorized() {
 		return " vec"
 	}
 	return ""
@@ -681,7 +677,7 @@ func (pb *builder) buildLoadedScan(ti int, h *storage.Table, conjuncts []sql.Exp
 			f := engine.NewFilter(op2, pred, pb.b)
 			f.SetVectorized(!pb.noVec)
 			op2 = f
-			node = wrap("Filter("+andAll(rest).String()+")", node)
+			node = wrap("Filter("+andAll(rest).String()+")"+vecMark(f), node)
 		}
 		return op2, node, nil
 	}
@@ -698,7 +694,7 @@ func (pb *builder) buildLoadedScan(ti int, h *storage.Table, conjuncts []sql.Exp
 		f := engine.NewFilter(op, pred, pb.b)
 		f.SetVectorized(!pb.noVec)
 		op = f
-		node = wrap("Filter("+andAll(conjuncts).String()+")", node)
+		node = wrap("Filter("+andAll(conjuncts).String()+")"+vecMark(f), node)
 	}
 	return op, node, nil
 }

@@ -94,18 +94,14 @@ func run(t *testing.T, cat *schema.Catalog, q string) ([][]value.Value, []Output
 	}
 	defer plan.Close()
 	var out [][]value.Value
-	for {
-		row, ok, err := plan.Root.Next()
-		if err != nil {
-			t.Fatalf("exec %q: %v", q, err)
-		}
-		if !ok {
-			return out, plan.Columns, &b
-		}
-		cp := make([]value.Value, len(row))
-		copy(cp, row)
-		out = append(out, cp)
+	err = engine.ForEachBatchRow(plan.Root, func(row []value.Value) error {
+		out = append(out, append([]value.Value(nil), row...))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("exec %q: %v", q, err)
 	}
+	return out, plan.Columns, &b
 }
 
 func TestSelectProjectFilter(t *testing.T) {

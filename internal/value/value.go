@@ -454,11 +454,23 @@ func (v Value) Distinct() DistinctKey {
 //
 //nodbvet:hotpath
 func AppendGroupKey(buf []byte, vals []Value) []byte {
+	var num [32]byte // numbers render here, not into a fresh string
 	for _, v := range vals {
 		buf = append(buf, byte(v.K))
-		s := v.String()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+		var r []byte
+		switch v.K {
+		case KindInt:
+			r = strconv.AppendInt(num[:0], v.I, 10)
+		case KindFloat:
+			r = strconv.AppendFloat(num[:0], v.F, 'g', -1, 64)
+		default:
+			s := v.String()
+			buf = binary.AppendUvarint(buf, uint64(len(s)))
+			buf = append(buf, s...)
+			continue
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(r)))
+		buf = append(buf, r...)
 	}
 	return buf
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nodb/internal/core"
-	"nodb/internal/engine"
 	"nodb/internal/metrics"
 	"nodb/internal/planner"
 	"nodb/internal/sql"
@@ -141,8 +140,8 @@ func (db *DB) QueryContext(ctx context.Context, q string, args ...any) (*Rows, e
 	}
 	prep, hit, _, err := db.prepared(q)
 	if err != nil {
-		// SHOW TABLES / DESCRIBE are served straight from the catalog as
-		// static rows; DDL is pointed at Exec.
+		// SHOW TABLES / DESCRIBE are served straight from the catalog; DDL
+		// is pointed at Exec.
 		if ns, isCatalog := err.(*notSelectError); isCatalog {
 			return db.catalogRows(ctx, ns.st, args)
 		}
@@ -244,25 +243,22 @@ func (db *DB) execPrepared(ctx context.Context, prep *planner.Prepared, cacheHit
 
 	r := &Rows{db: db, ctx: ctx, b: b, t0: t0, pinned: entries, cacheHit: cacheHit}
 
-	// EXPLAIN: serve the plan tree as static rows without executing it.
+	// EXPLAIN: serve the plan tree's lines without executing it.
 	if prep.Explain() {
 		plan.Close()
 		r.cols = []Column{{Name: "plan", Type: "TEXT"}}
+		var lines [][]value.Value
 		for _, line := range strings.Split(strings.TrimRight(plan.ExplainText, "\n"), "\n") {
-			r.static = append(r.static, []value.Value{value.Text(line)})
+			lines = append(lines, []value.Value{value.Text(line)})
 		}
-		r.finalizeStats() // EXPLAIN carries no execution residual
+		r.serveValues(lines)
 		return r, nil
 	}
 
-	r.plan = plan
 	for _, c := range plan.Columns {
 		r.cols = append(r.cols, Column{Name: c.Name, Type: c.Kind.String()})
 	}
-	if bop, ok := engine.AsBatched(plan.Root); ok {
-		r.bop = bop
-	}
-	r.row = make([]value.Value, len(plan.Columns))
+	r.serve(plan)
 	return r, nil
 }
 

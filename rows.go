@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"nodb/internal/core"
 	"nodb/internal/engine"
 	"nodb/internal/metrics"
 	"nodb/internal/planner"
@@ -13,10 +14,11 @@ import (
 )
 
 // Rows is a streaming cursor over a query's result. Unlike Query, nothing is
-// materialized up front: each Next pulls from the operator tree on demand —
-// whole chunks at a time when the plan is batch-capable — so the first row
-// arrives before a large scan completes, memory stays bounded per batch, and
-// Close abandons the unread remainder.
+// materialized up front: Next pulls batches from the plan's root operator on
+// demand and serves their rows one at a time, so the first row arrives
+// before a large scan completes, memory stays bounded per batch, and Close
+// abandons the unread remainder. Results that need no execution (EXPLAIN,
+// catalog listings) are served the same way, from a ValuesOp root.
 //
 // The usage pattern mirrors database/sql:
 //
@@ -37,13 +39,10 @@ type Rows struct {
 	db       *DB
 	ctx      context.Context
 	cols     []Column
-	plan     *planner.Plan
-	bop      engine.BatchOperator // batch-capable plan root, when available
-	batch    *engine.Batch        // current batch being served
-	bpos     int                  // cursor into batch.Sel
-	row      []value.Value        // current row (engine layout, reused)
-	static   [][]value.Value      // EXPLAIN output served without execution
-	spos     int
+	plan     *planner.Plan // nil once closed
+	batch    *core.Batch   // current batch being served
+	bpos     int           // cursor into batch.Sel
+	row      []value.Value // current row (engine layout, reused)
 	pinned   []*schema.Table
 	b        *metrics.Breakdown
 	t0       time.Time
@@ -72,50 +71,27 @@ func (r *Rows) Next() bool {
 		r.setErr(err)
 		return false
 	}
-	if r.static != nil {
-		if r.spos >= len(r.static) {
+	for {
+		if r.batch != nil && r.bpos < len(r.batch.Sel) {
+			ri := r.batch.Sel[r.bpos]
+			r.bpos++
+			for i, col := range r.batch.Cols {
+				r.row[i] = col[ri]
+			}
+			r.onRow = true
+			return true
+		}
+		b, ok, err := r.plan.Root.NextBatch()
+		if err != nil {
+			r.setErr(err)
+			return false
+		}
+		if !ok {
 			r.finish()
 			return false
 		}
-		r.spos++
-		r.onRow = true
-		return true
+		r.batch, r.bpos = b, 0
 	}
-	if r.bop != nil {
-		for {
-			if r.batch != nil && r.bpos < len(r.batch.Sel) {
-				ri := r.batch.Sel[r.bpos]
-				r.bpos++
-				for i, col := range r.batch.Cols {
-					r.row[i] = col[ri]
-				}
-				r.onRow = true
-				return true
-			}
-			b, ok, err := r.bop.NextBatch()
-			if err != nil {
-				r.setErr(err)
-				return false
-			}
-			if !ok {
-				r.finish()
-				return false
-			}
-			r.batch, r.bpos = b, 0
-		}
-	}
-	row, ok, err := r.plan.Root.Next()
-	if err != nil {
-		r.setErr(err)
-		return false
-	}
-	if !ok {
-		r.finish()
-		return false
-	}
-	copy(r.row, row)
-	r.onRow = true
-	return true
 }
 
 // Scan copies the current row into dest, one pointer per column. Supported
@@ -135,11 +111,7 @@ func (r *Rows) Scan(dest ...any) error {
 		return fmt.Errorf("nodb: Scan expects %d destination(s), got %d", len(r.cols), len(dest))
 	}
 	for i, d := range dest {
-		v := r.row
-		if r.static != nil {
-			v = r.static[r.spos-1]
-		}
-		if err := assignValue(d, v[i]); err != nil {
+		if err := assignValue(d, r.row[i]); err != nil {
 			return fmt.Errorf("nodb: Scan column %d (%s): %w", i, r.cols[i].Name, err)
 		}
 	}
@@ -157,7 +129,7 @@ func (r *Rows) Values() []any {
 	}
 	out := make([]any, len(r.cols))
 	for i := range out {
-		out[i] = r.valueAt(i)
+		out[i] = toAny(r.row[i])
 	}
 	return out
 }
@@ -170,16 +142,9 @@ func (r *Rows) ValuesInto(dest []any) bool {
 		return false
 	}
 	for i := range dest {
-		dest[i] = r.valueAt(i)
+		dest[i] = toAny(r.row[i])
 	}
 	return true
-}
-
-func (r *Rows) valueAt(i int) any {
-	if r.static != nil {
-		return toAny(r.static[r.spos-1][i])
-	}
-	return toAny(r.row[i])
 }
 
 // assignValue converts an engine value straight into a typed destination —
@@ -264,7 +229,7 @@ func (r *Rows) Close() error {
 		err = r.plan.Close()
 		r.plan = nil
 	}
-	r.bop, r.batch = nil, nil
+	r.batch = nil
 	r.finalizeStats()
 	if r.pinned != nil {
 		r.db.unpin(r.pinned)
@@ -286,23 +251,36 @@ func (r *Rows) finish() {
 
 // finalizeStats fixes the query's stats. As in the materializing path, the
 // wall-clock residual not charged by instrumented stages is attributed to
-// Processing so the categories sum to the total — except for EXPLAIN, which
-// executes nothing.
+// Processing so the categories sum to the total. Results served without
+// execution fixed theirs in serveValues.
 func (r *Rows) finalizeStats() {
 	if r.haveStats {
 		return
 	}
 	total := time.Since(r.t0)
-	if r.static == nil {
-		if residual := total - r.b.Total(); residual > 0 {
-			r.b.Add(metrics.Processing, residual)
-		}
+	if residual := total - r.b.Total(); residual > 0 {
+		r.b.Add(metrics.Processing, residual)
 	}
 	r.stats = newQueryStats(r.b, total)
 	if r.cacheHit {
 		r.stats.PlanCacheHits = 1
 	}
 	r.haveStats = true
+}
+
+// serve makes plan's root the cursor's source; rows are served in the
+// layout of r.cols.
+func (r *Rows) serve(plan *planner.Plan) {
+	r.plan = plan
+	r.row = make([]value.Value, len(r.cols))
+}
+
+// serveValues serves rows computed without execution (EXPLAIN, catalog
+// listings). Their stats are final at once and carry no execution
+// residual.
+func (r *Rows) serveValues(rows [][]value.Value) {
+	r.serve(&planner.Plan{Root: &engine.ValuesOp{Rows: rows}})
+	r.stats, r.haveStats = r.Stats(), true
 }
 
 // materialize drains the cursor into a Result (the legacy Query shape) and
