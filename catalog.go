@@ -94,7 +94,6 @@ func (db *DB) createTable(spec TableSpec) (time.Duration, *QueryStats, error) {
 				o.Delim = opts.Delim
 				o.ChunkRows = opts.ChunkRows
 				o.Parallelism = opts.Parallelism
-				o.ShardAhead = opts.ShardAhead
 				o.PartitionBytes = opts.PartitionBytes
 				o.OnError = opts.OnError
 				o.MaxErrors = opts.MaxErrors

@@ -133,7 +133,7 @@ func tableSpecFromDDL(s *sql.CreateTable) (TableSpec, error) {
 			}
 			raw.Delim = o.Value[0]
 			haveRaw = true
-		case "parallelism", "chunk_rows", "map_every_nth", "stats_sample_every", "shard_ahead":
+		case "parallelism", "chunk_rows", "map_every_nth", "stats_sample_every":
 			n, err := strconv.Atoi(o.Value)
 			if err != nil {
 				return spec, fmt.Errorf("nodb: option %s: bad integer %q", o.Key, o.Value)
@@ -147,11 +147,6 @@ func tableSpecFromDDL(s *sql.CreateTable) (TableSpec, error) {
 				raw.MapEveryNth = n
 			case "stats_sample_every":
 				raw.StatsSampleEvery = n
-			case "shard_ahead":
-				if n < 0 {
-					return spec, fmt.Errorf("nodb: option shard_ahead: bad count %q (want an integer >= 0; 0 means the default)", o.Value)
-				}
-				raw.ShardAhead = n
 			}
 			haveRaw = true
 		case "partition_bytes":
@@ -283,7 +278,7 @@ func (db *DB) alterTable(s *sql.AlterTable) error {
 			}
 			maxErrs = n
 			policyChanged = true
-		case "shard_ahead", "partition_bytes", "parallelism", "chunk_rows":
+		case "partition_bytes", "parallelism", "chunk_rows":
 			// Scan-shape options are fixed at registration: changing them
 			// mid-life would invalidate learned chunk territories.
 			return fmt.Errorf("nodb: option %s is fixed at registration; DROP and re-CREATE the table to change it", o.Key)

@@ -73,14 +73,14 @@ func newAggStates(aggs []AggCall) ([]expr.Aggregator, error) {
 }
 
 // PushAgg installs worker-side partial aggregation on a scan that has not
-// been driven yet (no pipeline has started, so every chunk worker is built
-// with the pushdown in its spec). It reports false when the scan cannot
+// been driven yet (its stream has not started, so every chunk worker is
+// built with the pushdown in its spec). It reports false when the scan cannot
 // honor the pushdown — it already produced data, or it is a zero-attribute
 // COUNT(*) scan whose
 // metadata fast path answers without touching rows — in which case the
 // caller must aggregate the scan's rows itself.
 func (s *Scan) PushAgg(spec *AggPushdown) bool {
-	if spec == nil || s.topped >= 0 || s.closed {
+	if spec == nil || s.st.started || s.closed {
 		return false
 	}
 	if len(s.spec.Needed) == 0 && s.spec.Filter == nil {

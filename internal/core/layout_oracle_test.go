@@ -334,6 +334,7 @@ func sameBits(a, b value.Value) bool {
 type oracleLayout struct {
 	name    string
 	tbl     *Table
+	window  int // K for the layout's scans
 	aligned bool
 	last    string // file that receives the append
 	segRows []int  // rows per segment (aligned layouts)
@@ -355,12 +356,14 @@ func TestLayoutOracle(t *testing.T) {
 			opts.ChunkRows = oracleChunk
 			opts.OnError = []OnErrorPolicy{OnErrorNull, OnErrorSkip}[rng.Intn(2)]
 			opts.MaxErrors = []int64{0, 0, 3}[rng.Intn(3)]
-			withPar := func() Options {
+			// Each layout draws a parallelism and a window K; K is set for
+			// the layout's scans only.
+			withPar := func() (Options, int) {
 				o := opts
 				o.Parallelism = []int{1, 2, 8}[rng.Intn(3)]
-				o.ShardAhead = 1 + rng.Intn(3)
-				return o
+				return o, []int{1, 2, 8}[rng.Intn(3)]
 			}
+			setWindow(t, 0)
 
 			dir := t.TempDir()
 			write := func(name string, data []byte) string {
@@ -409,23 +412,27 @@ func TestLayoutOracle(t *testing.T) {
 			}
 			{
 				p := write("plain.csv", d.data)
-				tbl, err := NewTable(p, testSchema, withPar())
-				add(oracleLayout{name: "plain", tbl: tbl, aligned: true, last: p, segRows: []int{len(d.rowEnds)}}, err)
+				o, k := withPar()
+				tbl, err := NewTable(p, testSchema, o)
+				add(oracleLayout{name: "plain", tbl: tbl, window: k, aligned: true, last: p, segRows: []int{len(d.rowEnds)}}, err)
 			}
 			{
 				paths, segRows := split("aligned", alignedCuts)
-				tbl, err := NewShardedTable("aligned-*.csv", paths, testSchema, withPar())
-				add(oracleLayout{name: "aligned", tbl: tbl, aligned: true, last: paths[2], segRows: segRows}, err)
+				o, k := withPar()
+				tbl, err := NewShardedTable("aligned-*.csv", paths, testSchema, o)
+				add(oracleLayout{name: "aligned", tbl: tbl, window: k, aligned: true, last: paths[2], segRows: segRows}, err)
 			}
 			{
 				paths, _ := split("ragged", raggedCuts)
-				tbl, err := NewShardedTable("ragged-*.csv", paths, testSchema, withPar())
-				add(oracleLayout{name: "ragged", tbl: tbl, last: paths[2]}, err)
+				o, k := withPar()
+				tbl, err := NewShardedTable("ragged-*.csv", paths, testSchema, o)
+				add(oracleLayout{name: "ragged", tbl: tbl, window: k, last: paths[2]}, err)
 			}
 			{
 				p := write("ranges.csv", d.data)
-				tbl, err := NewPartitionedTable(p, testSchema, withPar(), oraclePartBytes)
-				add(oracleLayout{name: "ranges", tbl: tbl, last: p}, err)
+				o, k := withPar()
+				tbl, err := NewPartitionedTable(p, testSchema, o, oraclePartBytes)
+				add(oracleLayout{name: "ranges", tbl: tbl, window: k, last: p}, err)
 			}
 
 			for _, phase := range []string{"cold", "warm", "appended"} {
@@ -455,8 +462,9 @@ func TestLayoutOracle(t *testing.T) {
 				want := runOracleScan(t, ref, q)
 				for _, l := range layouts {
 					o := l.tbl.Options()
-					label := fmt.Sprintf("%s %s par=%d ahead=%d on_error=%s max_errors=%d filter=%v drive=%d",
-						phase, l.name, o.Parallelism, o.ShardAhead, o.OnError, o.MaxErrors, q.filter, q.drive)
+					label := fmt.Sprintf("%s %s par=%d K=%d on_error=%s max_errors=%d filter=%v drive=%d",
+						phase, l.name, o.Parallelism, l.window, o.OnError, o.MaxErrors, q.filter, q.drive)
+					testWindow = l.window
 					got := runOracleScan(t, l.tbl, q)
 					if got.tooMany != want.tooMany {
 						t.Fatalf("%s: too-many-errors=%v, reference %v", label, got.tooMany, want.tooMany)

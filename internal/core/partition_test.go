@@ -371,44 +371,43 @@ func TestShardedRefreshBestEffort(t *testing.T) {
 	}
 }
 
-// TestShardAheadEquivalence verifies concurrent shard dispatch is invisible
-// in every observable output: for the same sharded table, ShardAhead 1
-// (serial shard pipelines) and ShardAhead 3 must produce byte-identical
-// rows, work counters, and bitwise-identical pushed-down aggregates.
-func TestShardAheadEquivalence(t *testing.T) {
+// TestShardWindowEquivalence verifies the window is invisible in every
+// observable output: for the same sharded table, a window of one position
+// (segments and chunks strictly one after another) and one of eight must
+// produce byte-identical rows, work counters, and bitwise-identical
+// pushed-down aggregates.
+func TestShardWindowEquivalence(t *testing.T) {
 	single, shards, _ := genShardFiles(t, 583, []int{256, 192, 135})
 	needed := []int{0, 1, 2, 3, 4}
 
-	run := func(ahead int) ([][]value.Value, [7]int64) {
+	run := func(k int) ([][]value.Value, [7]int64) {
 		t.Helper()
-		opts := parOptions(4)
-		opts.ShardAhead = ahead
-		shTbl := newShardedTable(t, shards, opts)
+		setWindow(t, k)
+		shTbl := newShardedTable(t, shards, parOptions(4))
 		var b metrics.Breakdown
 		rows := collectScanner(t, shTbl, ScanSpec{Needed: needed, B: &b})
 		return rows, scanCounters(&b)
 	}
 
 	rows1, c1 := run(1)
-	rows3, c3 := run(3)
-	sameRows(t, "ahead=3 vs ahead=1", rows3, rows1)
-	if c1 != c3 {
-		t.Errorf("counters ahead=1 %v vs ahead=3 %v", c1, c3)
+	rows8, c8 := run(8)
+	sameRows(t, "K=8 vs K=1", rows8, rows1)
+	if c1 != c8 {
+		t.Errorf("counters K=1 %v vs K=8 %v", c1, c8)
 	}
 	sTbl := newTable(t, single, parOptions(4))
 	sRows := collectScanner(t, sTbl, ScanSpec{Needed: needed})
-	sameRows(t, "sharded vs single", rows3, sRows)
+	sameRows(t, "sharded vs single", rows8, sRows)
 
 	// Aggregate pushdown under a concurrent window: the shared merge table
 	// is only fed at ordered commits, so float SUM stays bitwise stable.
 	env := expr.NewEnv()
 	env.Add("", "score", value.KindFloat)
 	env.Add("", "grp", value.KindInt)
-	drain := func(ahead int) []value.Value {
+	drain := func(k int) []value.Value {
 		t.Helper()
-		opts := parOptions(4)
-		opts.ShardAhead = ahead
-		shTbl := newShardedTable(t, shards, opts)
+		setWindow(t, k)
+		shTbl := newShardedTable(t, shards, parOptions(4))
 		sc, err := shTbl.OpenScan(ScanSpec{Needed: []int{2, 3}, B: &metrics.Breakdown{}})
 		if err != nil {
 			t.Fatal(err)
@@ -433,23 +432,28 @@ func TestShardAheadEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	agg1, agg3 := drain(1), drain(3)
-	if len(agg1) != len(agg3) {
-		t.Fatalf("agg result counts differ: %d vs %d", len(agg1), len(agg3))
+	agg1, agg8 := drain(1), drain(8)
+	if len(agg1) != len(agg8) {
+		t.Fatalf("agg result counts differ: %d vs %d", len(agg1), len(agg8))
 	}
 	for i := range agg1 {
-		if agg1[i] != agg3[i] { // struct equality → bitwise for floats
-			t.Fatalf("agg result %d: ahead=1 %#v vs ahead=3 %#v", i, agg1[i], agg3[i])
+		if agg1[i] != agg8[i] { // struct equality → bitwise for floats
+			t.Fatalf("agg result %d: K=1 %#v vs K=8 %#v", i, agg1[i], agg8[i])
 		}
 	}
 }
 
-// TestShardWindowLaziness: with a concurrent window active (Parallelism > 1,
-// default ShardAhead), a scan closed inside shard 0 must never have opened
-// shards beyond the read-ahead window.
+// TestShardWindowLaziness: with a concurrent window active (Parallelism > 1),
+// a scan closed inside shard 0 must never have opened shards beyond the
+// window.
 func TestShardWindowLaziness(t *testing.T) {
 	_, shards, _ := genShardFiles(t, 421, []int{128, 150, 143})
-	shTbl := newShardedTable(t, shards, parOptions(4)) // ShardAhead defaults to 2
+	// At 64 rows a chunk, shard 0 is stream positions 0-2 (two chunks and
+	// its end) and shard 1 positions 3-6, so shard 2 starts at position 7.
+	// Serving ten rows commits position 0 only: a window of 4 reaches
+	// position 4 at most.
+	setWindow(t, 4)
+	shTbl := newShardedTable(t, shards, parOptions(4))
 	sc, err := shTbl.OpenScan(ScanSpec{Needed: []int{0}, B: &metrics.Breakdown{}})
 	if err != nil {
 		t.Fatal(err)

@@ -11,42 +11,61 @@ import (
 	"nodb/internal/sched"
 )
 
-// The chunk pipeline.
+// The chunk stream.
 //
-// Every open segment of a scan runs three stages:
+// A scan is one stream of (segment, chunk) tasks in table order, run in
+// three stages:
 //
 //	step  --work items-->  executor  --results-->  ordered commit
 //
-// step walks chunk IDs in file order. Chunks whose byte range is already
-// known (base offsets learned by an earlier scan, or the row count known)
-// become claims — the chunk task preads the range itself, so warm scans
-// parallelize I/O, tokenizing and conversion alike. Over unknown territory
-// step performs only the cheap sequential work that cannot be parallelized
-// on a file with no index — reading ahead and finding row boundaries — and
-// hands each raw chunk to a task, which runs the expensive
-// selective-tokenize → convert → filter stage. Each task charges a private
-// metrics.Breakdown and defers all adaptive-structure updates into its
-// chunkOut.
+// step walks the segments in order and the chunks of each in file order,
+// opening a segment's file when the stream reaches its first chunk (an open
+// failure is the stream's result at that position, so it surfaces in
+// order). Chunks whose byte range is already known (base offsets learned by
+// an earlier scan, or the row count known) become claims — the chunk task
+// preads the range itself, so warm scans parallelize I/O, tokenizing and
+// conversion alike. Over unknown territory step performs only the cheap
+// sequential work that cannot be parallelized on a file with no index —
+// reading ahead and finding row boundaries — and hands each raw chunk to a
+// task, which runs the expensive selective-tokenize → convert → filter
+// stage. Each task charges a private metrics.Breakdown and defers all
+// adaptive-structure updates into its chunkOut.
 //
-// There are two executors. With Options.Parallelism = N > 1, step runs on a
-// splitter goroutine and submits the tasks to one bounded DB-level pool
-// (internal/sched), which multiplexes chunk work from all running scans
-// with round-robin fairness across their queues. Parallelism caps this
-// segment's outstanding submissions (the read-ahead window, enforced by
-// p.sem); MaxWorkers caps how many chunk tasks the whole process executes
-// at once. The pool runs zero goroutines when no scan is active. The
-// consumer re-sequences results by chunk ID. With Parallelism = 1 the
-// executor is inline: each pull runs one step and its task on the
-// consumer's goroutine — no goroutine, no pool, no channel hand-off, and
-// the raw chunk is processed in step's own read buffer instead of a copy.
+// There are two executors. With Options.Parallelism = N > 1, step runs on
+// one splitter goroutine and submits the tasks through one queue to the
+// bounded DB-level pool (internal/sched), which multiplexes chunk work from
+// all running scans with round-robin fairness across their queues. The
+// stream has one window of K = windowPerWorker × N positions past the last
+// commit: the splitter takes a slot for every position it hands out — a
+// chunk task, or the result that ends a segment — and Scan.commit gives it
+// back, so at most K results are queued, running, in flight or parked in
+// pending at any moment, across segment boundaries alike. MaxWorkers caps
+// how many chunk tasks the whole process executes at once; the pool runs
+// zero goroutines when no scan is active. The consumer re-sequences results
+// by stream position. With Parallelism = 1 the executor is inline: each
+// pull runs one step and its task on the consumer's goroutine — no
+// goroutine, no pool, no channel hand-off, and the raw chunk is processed
+// in step's own read buffer instead of a copy.
 //
-// Either way chunks reach Scan.commit in file order, so positional-map,
-// cache and statistics population is deterministic — byte-identical at any
-// worker count.
+// Either way chunks reach Scan.commit in (segment, chunk) order, so
+// positional-map, cache and statistics population is deterministic —
+// byte-identical at any worker count.
 
-// workItem is one chunk assignment from the splitter to a chunk task.
+// windowPerWorker sizes a scan's window: K = windowPerWorker × Parallelism
+// stream positions past the last commit. Tighter windows cost: one of
+// Parallelism starved warm scans of read-ahead, one of 2 × Parallelism
+// stretched the tail of queries after appends.
+const windowPerWorker = 4
+
+// testWindow, when > 0, replaces K for scans opened afterwards. Only tests
+// set it.
+var testWindow int
+
+// workItem is one chunk assignment from step to a chunk task.
 type workItem struct {
-	c      int
+	pos    int // stream position
+	seg    int // segment index within the scan
+	c      int // chunk ID within the segment
 	kind   int // srcFetch or srcRaw
 	nrows  int
 	known  bool
@@ -58,7 +77,7 @@ type workItem struct {
 // across scans). Each srcRaw dispatch used to allocate fresh Data/Start/End
 // slices per chunk; with the pool a task returns the copy once the chunk's
 // values are materialized (value parsing copies all bytes out), so steady
-// state runs with ~Parallelism+queue chunk buffers total.
+// state runs with about a window of chunk buffers total.
 var chunkPool = sync.Pool{New: func() any { return new(rawfile.Chunk) }}
 
 // Pooled chunk capacity caps: one wide-row file must not permanently
@@ -80,138 +99,155 @@ func putChunk(ch *rawfile.Chunk) bool {
 	return true
 }
 
-// pipeline is one open segment of a scan: the segment's file handle and
-// commit position, step's cursor, and the executor that turns work items
-// into results.
-type pipeline struct {
-	s        *Scan
+// segRun is one opened segment of a scan: what the commit needs of it.
+type segRun struct {
 	seg      *Segment
-	reader   *rawfile.Reader     // owns the segment's descriptor; nil once closed
+	reader   *rawfile.Reader     // owns the segment's descriptor
 	fp       rawfile.Fingerprint // file version the scan is reading
 	rowsDone int64               // rows committed so far
-
-	// step's cursor. Touched only by whoever runs step: the splitter
-	// goroutine under the pool executor, the consumer under the inline one.
-	stepC int                  // next chunk ID to yield
-	view  *rawfile.Reader      // step's view of the file
-	cr    *rawfile.ChunkReader // sequential reader over unknown territory
-	ch    rawfile.Chunk        // its read buffer
-
-	free chan *chunkOut // committed outputs recycled back to tasks
-
-	// Idle chunkWorker scratch, reused across tasks of this segment. At most
-	// Parallelism workers are ever live (bounded by sem).
-	wmu     sync.Mutex
-	workers []*chunkWorker
-
-	// Pool executor state; unset under the inline executor.
-	started bool
-	q       *sched.Queue   // this segment's lane into the shared pool
-	results chan *chunkOut // task/splitter results into the merge
-	done    chan struct{}
-	stop    sync.Once
-	wg      sync.WaitGroup // splitter goroutine
-	// sem bounds outstanding submissions at Parallelism: acquired by the
-	// splitter per dispatch, released by the merge per received task
-	// result. This is the segment's read-ahead window and the pool's
-	// backpressure — queues never hold more than a window of chunks.
-	sem     chan struct{}
-	pending map[int]*chunkOut // out-of-order results awaiting their turn
-	nextC   int               // next chunk ID to commit
-}
-
-// newPipeline wraps a freshly opened segment. Nothing runs until the first
-// pull (or start, for a prefetched segment).
-func newPipeline(s *Scan, seg *Segment, reader *rawfile.Reader, fp rawfile.Fingerprint) *pipeline {
-	p := &pipeline{
-		s: s, seg: seg, reader: reader, fp: fp,
-		view: reader.View(nil),
-		free: make(chan *chunkOut, 2*s.opts.Parallelism+1),
-	}
-	p.cr = rawfile.NewChunkReader(p.view, s.opts.BlockSize)
-	return p
-}
-
-// start spawns the splitter and registers a queue with the DB's shared
-// pool (or the process-default pool for direct core usage). The look-ahead
-// window calls it on prefetched segments so their chunk tasks overlap with
-// the current segment's. Side effects still publish only at commit, on the
-// consumer goroutine, once the segment is current, so starting early never
-// changes rows, counters or adaptive-structure contents; a started segment
-// that is closed undrained (LIMIT, cancellation) publishes nothing. No-op
-// for the inline executor and for pipelines already started.
-func (p *pipeline) start() {
-	n := p.s.opts.Parallelism
-	if p.started || n <= 1 {
-		return
-	}
-	p.started = true
-	pool := p.s.opts.Scheduler
-	if pool == nil {
-		pool = sched.Default()
-	}
-	p.q = pool.NewQueue()
-	// At most n un-received task results exist at any moment (sem), plus
-	// one terminal splitter emit and one last-resort poison: task sends
-	// never block a pool worker on a slow consumer.
-	p.results = make(chan *chunkOut, n+2)
-	p.done = make(chan struct{})
-	p.sem = make(chan struct{}, n)
-	p.pending = make(map[int]*chunkOut)
-	p.wg.Add(1)
-	go p.splitter()
-}
-
-// shutdown stops the splitter, drops this segment's queued tasks and waits
-// for its running tasks to finish. After shutdown no task of this segment
-// is executing, so the caller may close the reader. Safe to call more than
-// once.
-func (p *pipeline) shutdown() {
-	if !p.started {
-		return
-	}
-	p.stop.Do(func() { close(p.done) })
-	p.q.Close()
-	p.wg.Wait()
-	p.pending = nil
-}
-
-// close shuts the executor down and releases the segment's file handle.
-// Idempotent.
-func (p *pipeline) close() error {
-	p.shutdown()
-	if p.reader == nil {
-		return nil
-	}
-	err := p.reader.Close()
-	p.reader = nil
-	return err
+	ended    bool                // its last result committed; reader closed
 }
 
 // checkFile compares the file's current fingerprint (via fstat on the open
 // descriptor) against the version the scan started on. Called at every
 // chunk boundary so a file changing under a running scan surfaces as a
 // typed error instead of silently mixing two file versions.
-func (p *pipeline) checkFile() error {
-	fp, err := p.reader.Fingerprint()
+func (r *segRun) checkFile() error {
+	fp, err := r.reader.Fingerprint()
 	if err != nil {
 		return err
 	}
-	if fp == p.fp {
+	if fp == r.fp {
 		return nil
 	}
-	if fp.Size < p.fp.Size {
-		return faults.Truncated(p.seg.path,
-			fmt.Sprintf("size %d -> %d mid-scan", p.fp.Size, fp.Size))
+	if fp.Size < r.fp.Size {
+		return faults.Truncated(r.seg.path,
+			fmt.Sprintf("size %d -> %d mid-scan", r.fp.Size, fp.Size))
 	}
-	return faults.Changed(p.seg.path,
-		fmt.Sprintf("fingerprint moved mid-scan (size %d -> %d)", p.fp.Size, fp.Size))
+	return faults.Changed(r.seg.path,
+		fmt.Sprintf("fingerprint moved mid-scan (size %d -> %d)", r.fp.Size, fp.Size))
+}
+
+// stream is a scan's chunk stream: step's cursor, the executor that turns
+// work items into results, and the ordered commit's pending results.
+type stream struct {
+	s    *Scan
+	runs []*segRun // runs[i] once the stream opened segment i
+	k    int       // the window
+
+	// step's cursor. Touched only by whoever runs step: the splitter
+	// goroutine under the pool executor, the consumer under the inline one.
+	stepSeg int                  // segment of the next position
+	stepC   int                  // next chunk ID within it
+	stepPos int                  // next stream position
+	view    *rawfile.Reader      // step's view of segment stepSeg; nil until opened
+	cr      *rawfile.ChunkReader // sequential reader over unknown territory
+	ch      rawfile.Chunk        // its read buffer
+
+	free chan *chunkOut // committed outputs recycled back to tasks
+
+	// Idle chunkWorker scratch, reused across tasks and segments of this
+	// scan.
+	wmu     sync.Mutex
+	workers []*chunkWorker
+
+	started bool // the consumer pulled once: PushAgg comes too late
+
+	// Pool executor state; unset under the inline executor.
+	q       *sched.Queue   // the scan's lane into the shared pool
+	results chan *chunkOut // task/splitter results into the merge
+	done    chan struct{}
+	stop    sync.Once
+	wg      sync.WaitGroup // splitter goroutine
+	window  chan struct{}  // one slot per position handed out and not yet committed
+	pending map[int]*chunkOut
+	nextPos int // next stream position to commit
+}
+
+func newStream(s *Scan) stream {
+	k := windowPerWorker * s.opts.Parallelism
+	if testWindow > 0 {
+		k = testWindow
+	}
+	// free holds every output that can be alive at once — k in the window
+	// plus the one being served — so each committed output is reused.
+	return stream{s: s, runs: make([]*segRun, len(s.segs)), k: k, free: make(chan *chunkOut, k+1)}
+}
+
+// open opens segment i for the stream.
+func (st *stream) open(i int) (*segRun, error) {
+	seg := st.s.segs[i]
+	reader, fp, err := seg.open()
+	if err != nil {
+		return nil, err
+	}
+	seg.noteAccess(st.s.spec.Needed)
+	r := &segRun{seg: seg, reader: reader, fp: fp}
+	st.runs[i] = r
+	return r, nil
+}
+
+// start spawns the splitter and registers the scan's queue with the DB's
+// shared pool (or the process-default pool for direct core usage).
+func (st *stream) start() {
+	pool := st.s.opts.Scheduler
+	if pool == nil {
+		pool = sched.Default()
+	}
+	st.q = pool.NewQueue()
+	// At most k results are outstanding (the window), plus one last-resort
+	// splitter poison and one spare: sends never block a pool worker on a
+	// slow consumer.
+	st.results = make(chan *chunkOut, st.k+2)
+	st.done = make(chan struct{})
+	st.window = make(chan struct{}, st.k)
+	st.pending = make(map[int]*chunkOut)
+	st.wg.Add(1)
+	go st.splitter()
+}
+
+// shutdown stops the splitter, drops the scan's queued tasks and waits for
+// its running tasks to finish. After shutdown no task of this scan is
+// executing, so the caller may close the readers. Safe to call more than
+// once.
+func (st *stream) shutdown() {
+	if st.q == nil {
+		return
+	}
+	st.stop.Do(func() { close(st.done) })
+	st.q.Close()
+	st.wg.Wait()
+	st.pending = nil
+}
+
+// close shuts the executor down and releases every file handle still open.
+// Idempotent.
+func (st *stream) close() error {
+	st.shutdown()
+	var first error
+	for _, r := range st.runs {
+		if r == nil || r.ended {
+			continue
+		}
+		r.ended = true
+		if err := r.reader.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// release gives back the window slot of one committed position.
+func (st *stream) release() {
+	if st.window != nil {
+		<-st.window
+	}
 }
 
 // recycle offers a committed output's buffers back to the chunk tasks.
-func (p *pipeline) recycle(o *chunkOut) {
+func (st *stream) recycle(o *chunkOut) {
 	select {
-	case p.free <- o:
+	case st.free <- o:
 	default:
 	}
 }
@@ -222,19 +258,39 @@ func terminal(c int) *chunkOut {
 	return &chunkOut{c: c, countFinal: -1, base: -1, nextBase: -1}
 }
 
-// step yields the next unit of work in chunk order: a work item for a chunk
-// task, or the terminal result that ends the segment (end of data, a
-// COUNT(*) answered from metadata, a read failure). A panic — a fault
-// injected under the read, say — is contained as a poison result: it may
-// have fired after the chunk ID advanced, so no ID can be trusted.
-func (p *pipeline) step() (it workItem, term *chunkOut) {
-	s, seg, c := p.s, p.seg, p.stepC
+// step yields the next position of the stream: a work item for a chunk
+// task, or the terminal result that ends a segment (end of data, a COUNT(*)
+// answered from metadata, an open or read failure), after which the cursor
+// moves to the next segment. A panic — a fault injected under the read,
+// say — is contained as a poison result, which ends the stream.
+func (st *stream) step() (it workItem, term *chunkOut) {
+	s, si, c, pos := st.s, st.stepSeg, st.stepC, st.stepPos
+	seg := s.segs[si]
+	st.stepPos++
 	defer func() {
 		if rec := recover(); rec != nil {
 			term = terminal(c)
 			term.poison, term.err = true, faults.Panicked(seg.path, c, rec)
 		}
+		if term != nil {
+			term.pos, term.seg = pos, si
+			st.stepSeg, st.stepC, st.view, st.cr = si+1, 0, nil, nil
+		}
 	}()
+	if st.view == nil {
+		run := st.runs[si]
+		if run == nil {
+			var err error
+			if run, err = st.open(si); err != nil {
+				term = terminal(c)
+				term.err = err
+				return it, term
+			}
+		}
+		st.view = run.reader.View(nil)
+		st.cr = rawfile.NewChunkReader(st.view, s.opts.BlockSize)
+	}
+	it = workItem{pos: pos, seg: si, c: c}
 	if total := seg.RowCount(); total >= 0 {
 		// Row count known (possibly learned mid-scan by a concurrent
 		// query): every chunk base is known, so tasks claim chunks
@@ -251,26 +307,28 @@ func (p *pipeline) step() (it workItem, term *chunkOut) {
 			term.eof = true
 			return it, term
 		}
-		p.stepC++
-		return workItem{c: c, kind: srcFetch, nrows: nrows, known: true}, nil
+		st.stepC++
+		it.kind, it.nrows, it.known = srcFetch, nrows, true
+		return it, nil
 	}
 	base, okBase := seg.chunkBase(c)
 	if _, okNext := seg.chunkBase(c + 1); okBase && okNext {
 		// Bases bracket the chunk (a full chunk from an earlier, possibly
 		// partial, scan): the task preads it itself.
-		p.stepC++
-		return workItem{c: c, kind: srcFetch, nrows: s.opts.ChunkRows}, nil
+		st.stepC++
+		it.kind, it.nrows = srcFetch, s.opts.ChunkRows
+		return it, nil
 	}
 	// Unknown territory: do the only inherently sequential work — read
 	// ahead and find row boundaries — and hand the raw chunk to a task
 	// for the expensive tokenize/convert/filter stage.
 	b := &metrics.Breakdown{}
-	p.view.SetBreakdown(b)
-	if okBase && p.cr.Offset() != base {
-		p.cr.SeekTo(base)
+	st.view.SetBreakdown(b)
+	if okBase && st.cr.Offset() != base {
+		st.cr.SeekTo(base)
 	}
 	err := chargeBreakdown(b, metrics.Tokenizing, func() error {
-		return p.cr.NextChunk(s.opts.ChunkRows, &p.ch)
+		return st.cr.NextChunk(s.opts.ChunkRows, &st.ch)
 	})
 	if err != nil {
 		term = terminal(c)
@@ -282,109 +340,100 @@ func (p *pipeline) step() (it workItem, term *chunkOut) {
 		}
 		return it, term
 	}
-	p.stepC++
-	return workItem{c: c, kind: srcRaw, nrows: p.ch.Rows, ch: &p.ch, splitB: b}, nil
+	st.stepC++
+	it.kind, it.nrows, it.ch, it.splitB = srcRaw, st.ch.Rows, &st.ch, b
+	return it, nil
 }
 
-// pull returns the segment's next result in chunk order. Inline, that is
+// pull returns the stream's next result in position order. Inline, that is
 // one step plus its task, run here. Under the pool it is the ordered merge:
-// out-of-order arrivals park in pending. The sem slot is released when a
-// result is received, not when it is committed, so behind a slow head chunk
-// pending is bounded only by the segment's chunk count, not by the
-// read-ahead window (ROADMAP item 0 is the open fix).
-func (p *pipeline) pull() (*chunkOut, error) {
-	if p.s.opts.Parallelism <= 1 {
-		it, term := p.step()
+// out-of-order arrivals park in pending, which the window bounds at k.
+func (st *stream) pull() (*chunkOut, error) {
+	st.started = true
+	if st.s.opts.Parallelism <= 1 {
+		it, term := st.step()
 		if term != nil {
 			return term, nil
 		}
-		return p.execute(it), nil
+		return st.execute(it), nil
 	}
-	p.start()
+	if st.q == nil {
+		st.start()
+	}
 	var ctxDone <-chan struct{}
-	if p.s.spec.Ctx != nil {
-		ctxDone = p.s.spec.Ctx.Done()
+	if st.s.spec.Ctx != nil {
+		ctxDone = st.s.spec.Ctx.Done()
 	}
 	for {
-		if o, ok := p.pending[p.nextC]; ok {
-			delete(p.pending, p.nextC)
-			p.nextC++
+		if o, ok := st.pending[st.nextPos]; ok {
+			delete(st.pending, st.nextPos)
+			st.nextPos++
 			if o.eof || o.err != nil || o.countFinal >= 0 {
-				if err := p.drainPoison(); err != nil {
+				if err := st.drainPoison(); err != nil {
 					return nil, err
 				}
 			}
 			return o, nil
 		}
-		// Waiting for the next in-order chunk must not outlive the context:
-		// with the splitter stopped by cancellation no more results may ever
-		// arrive, so block on both.
+		// Waiting for the next in-order result must not outlive the
+		// context: with the splitter stopped by cancellation no more
+		// results may ever arrive, so block on both.
 		select {
-		case o := <-p.results:
-			if o.viaPool {
-				<-p.sem
-			}
+		case o := <-st.results:
 			if o.poison {
 				// Last-resort panic containment: the emitting side could not
-				// tie the failure to a reliable chunk ID (it may be -1 or a
-				// chunk already delivered), so parking it in pending could
-				// stall the merge forever. Poison is terminal regardless of
-				// chunk ID.
-				p.shutdown()
+				// tie the failure to a reliable position, so parking it in
+				// pending could stall the merge forever. Poison is terminal
+				// regardless of position.
+				st.shutdown()
 				return nil, o.err
 			}
-			p.pending[o.c] = o
+			st.pending[o.pos] = o
 		case <-ctxDone:
-			p.shutdown()
-			return nil, p.s.spec.Ctx.Err()
+			st.shutdown()
+			return nil, st.s.spec.Ctx.Err()
 		}
 	}
 }
 
-// drainPoison runs once per segment, just before pull hands out the result
-// that ends it: it takes whatever already waits in results, without
-// blocking, and fails on any poison. The merge may have parked every
-// remaining chunk and the terminal result in pending, and then serves them
-// without reading results again — a poison sent meanwhile would otherwise
-// never be seen. Results that are not poison (chunks read ahead of a
-// failing one) are parked like any other.
-func (p *pipeline) drainPoison() error {
+// drainPoison runs just before pull hands out a result that ends a
+// segment: it takes whatever already waits in results, without blocking,
+// and fails on any poison. The merge may have parked every remaining
+// result in pending, and then serves them without reading results again —
+// a poison sent meanwhile would otherwise never be seen. Results that are
+// not poison are parked like any other.
+func (st *stream) drainPoison() error {
 	for {
 		select {
-		case o := <-p.results:
-			if o.viaPool {
-				<-p.sem
-			}
+		case o := <-st.results:
 			if o.poison {
-				p.shutdown()
+				st.shutdown()
 				return o.err
 			}
-			p.pending[o.c] = o
+			st.pending[o.pos] = o
 		default:
 			return nil
 		}
 	}
 }
 
-// dispatch submits a chunk claim to the shared pool under the read-ahead
-// window: it blocks while Parallelism submissions are outstanding and
-// returns false once the pipeline is shut down.
-func (p *pipeline) dispatch(it workItem) bool {
+// acquire takes a window slot for the next position, blocking while k
+// positions are outstanding; false once the stream is shut down.
+func (st *stream) acquire() bool {
 	select {
-	case p.sem <- struct{}{}:
-	case <-p.done:
+	case st.window <- struct{}{}:
+		return true
+	case <-st.done:
 		return false
 	}
-	p.q.Submit(p.task(it))
-	return true
 }
 
 // emit sends a result (or end/error marker) straight into the merge.
-func (p *pipeline) emit(o *chunkOut) bool {
+func (st *stream) emit(o *chunkOut) bool {
 	select {
-	case p.results <- o:
+	case st.results <- o:
 		return true
-	case <-p.done:
+	case <-st.done:
 		return false
 	}
 }
@@ -393,19 +442,18 @@ func (p *pipeline) emit(o *chunkOut) bool {
 // task — the processed chunk, or a poison marker if the bookkeeping around
 // chunk processing itself panicked (chunkWorker.run and execute recover
 // everything inside the per-chunk path into typed per-chunk errors; this
-// is the last resort for failures outside that scope, where no chunk ID
-// can be trusted).
-func (p *pipeline) task(it workItem) sched.Task {
+// is the last resort for failures outside that scope).
+func (st *stream) task(it workItem) sched.Task {
 	return func() {
 		delivered := false
 		defer func() {
 			if rec := recover(); rec != nil && !delivered {
 				o := terminal(it.c)
-				o.poison, o.viaPool, o.err = true, true, faults.Panicked(p.seg.path, it.c, rec)
-				p.emit(o)
+				o.poison, o.err = true, faults.Panicked(st.s.segs[it.seg].path, it.c, rec)
+				st.emit(o)
 			}
 		}()
-		out := p.execute(it)
+		out := st.execute(it)
 		if it.ch != nil {
 			// The chunk's bytes are fully materialized into the output (value
 			// parsing copies); recycle the splitter's copy for a later item.
@@ -414,31 +462,35 @@ func (p *pipeline) task(it workItem) sched.Task {
 		if out.b != nil {
 			out.b.SchedTasks++
 		}
-		out.viaPool = true
 		delivered = true
-		p.emit(out)
+		st.emit(out)
 	}
 }
 
 // execute processes one work item on idle chunk-worker scratch (building a
-// worker when none is idle), containing any panic — from worker
-// construction, the worker stage itself or user predicates — as a typed
-// error result, so one poisoned chunk fails the query through the ordered
-// commit instead of crashing the process. chunkWorker.run has its own
-// recover; this is the safety net for the surrounding bookkeeping.
-func (p *pipeline) execute(it workItem) (out *chunkOut) {
-	w := p.takeWorker()
+// worker when none is idle, moving it to the item's segment otherwise),
+// containing any panic — from worker construction, the worker stage itself
+// or user predicates — as a typed error result, so one poisoned chunk fails
+// the query through the ordered commit instead of crashing the process.
+// chunkWorker.run has its own recover; this is the safety net for the
+// surrounding bookkeeping.
+func (st *stream) execute(it workItem) (out *chunkOut) {
+	run := st.runs[it.seg]
+	w := st.takeWorker()
 	defer func() {
 		if rec := recover(); rec != nil {
 			out = terminal(it.c)
-			out.err = faults.Panicked(p.seg.path, it.c, rec)
+			out.err = faults.Panicked(run.seg.path, it.c, rec)
 		}
+		out.pos, out.seg = it.pos, it.seg
 		if w != nil {
-			p.putWorker(w)
+			st.putWorker(w)
 		}
 	}()
 	if w == nil {
-		w = newChunkWorker(p.seg, p.s.opts, p.s.spec, p.reader.View(nil), p.free)
+		w = newChunkWorker(run.seg, st.s.opts, st.s.spec, run.reader.View(nil), st.free)
+	} else if w.t != run.seg {
+		w.t, w.reader = run.seg, run.reader.View(nil)
 	}
 	b := &metrics.Breakdown{}
 	if it.splitB != nil {
@@ -452,54 +504,57 @@ func (p *pipeline) execute(it workItem) (out *chunkOut) {
 }
 
 // takeWorker pops idle chunk-worker scratch, if any.
-func (p *pipeline) takeWorker() *chunkWorker {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if n := len(p.workers); n > 0 {
-		w := p.workers[n-1]
-		p.workers = p.workers[:n-1]
+func (st *stream) takeWorker() *chunkWorker {
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
+	if n := len(st.workers); n > 0 {
+		w := st.workers[n-1]
+		st.workers = st.workers[:n-1]
 		return w
 	}
 	return nil
 }
 
 // putWorker returns scratch for the next task of this scan.
-func (p *pipeline) putWorker(w *chunkWorker) {
-	p.wmu.Lock()
-	p.workers = append(p.workers, w)
-	p.wmu.Unlock()
+func (st *stream) putWorker(w *chunkWorker) {
+	st.wmu.Lock()
+	st.workers = append(st.workers, w)
+	st.wmu.Unlock()
 }
 
-// splitter runs step on its own goroutine, feeding the pool in file order.
-func (p *pipeline) splitter() {
-	defer p.wg.Done()
+// splitter runs step on its own goroutine, feeding the pool in stream
+// order under the window, until the last segment's terminal result.
+func (st *stream) splitter() {
+	defer st.wg.Done()
 	// step contains its own panics; this is the last resort for the loop
 	// around it, so a failure here cannot kill the process or strand the
 	// merge.
 	defer func() {
 		if rec := recover(); rec != nil {
-			o := terminal(p.stepC)
-			o.poison, o.err = true, faults.Panicked(p.seg.path, p.stepC, rec)
-			p.emit(o)
+			o := terminal(st.stepC)
+			o.poison, o.err = true, faults.Panicked(st.s.t.location, st.stepC, rec)
+			st.emit(o)
 		}
 	}()
 	var ctxDone <-chan struct{}
-	if p.s.spec.Ctx != nil {
-		ctxDone = p.s.spec.Ctx.Done()
+	if st.s.spec.Ctx != nil {
+		ctxDone = st.s.spec.Ctx.Done()
 	}
-	for {
+	for st.stepSeg < len(st.runs) {
 		select {
-		case <-p.done:
+		case <-st.done:
 			return
 		case <-ctxDone:
 			// Cancelled: stop reading ahead; the consumer notices on its own.
 			return
 		default:
 		}
-		it, term := p.step()
+		it, term := st.step()
 		if term != nil {
-			p.emit(term)
-			return
+			if !st.acquire() || !st.emit(term) || term.poison {
+				return
+			}
+			continue
 		}
 		if it.ch != nil {
 			// The raw chunk aliases step's read buffer, which the next step
@@ -508,12 +563,13 @@ func (p *pipeline) splitter() {
 			it.ch = copyChunk(it.ch)
 			sw.Stop(metrics.Tokenizing)
 		}
-		if !p.dispatch(it) {
+		if !st.acquire() {
 			if it.ch != nil {
 				putChunk(it.ch)
 			}
 			return
 		}
+		st.q.Submit(st.task(it))
 	}
 }
 

@@ -66,16 +66,15 @@ type Batch struct {
 	Sel  []int32
 }
 
-// Scan is the in-situ scan over a raw table: it walks the table's segments
-// in order, runs the chunk pipeline over each, and commits chunks strictly
-// in (segment, chunk) order, so results, row order and adaptive-structure
-// population are identical at any Parallelism, ShardAhead or pool size. Up
-// to ShardAhead segments are open at once — the current one plus prefetched
-// successors whose pipelines already process chunks — but commits, and
-// hence every structure update and the aggregation merge, happen only for
-// the current segment. An early Close (LIMIT, cancellation) never opens a
-// segment beyond the window, and prefetched segments publish nothing. Not
-// safe for concurrent use; run one goroutine per scan.
+// Scan is the in-situ scan over a raw table: one chunk stream over the
+// table's segments in order, which commits chunks strictly in (segment,
+// chunk) order, so results, row order and adaptive-structure population are
+// identical at any Parallelism or pool size. The stream opens a segment
+// when it reaches the segment's first chunk and keeps at most one window of
+// positions past the last commit in flight, so an early Close (LIMIT,
+// cancellation) never opens a segment beyond the window, and results read
+// ahead publish nothing. Not safe for concurrent use; run one goroutine per
+// scan.
 type Scan struct {
 	t    *Table
 	b    *metrics.Breakdown
@@ -83,15 +82,7 @@ type Scan struct {
 	spec ScanSpec
 
 	segs []*Segment // the table's segments when the scan opened
-	idx  int        // current segment
-	// open is the look-ahead window: open[i] serves segment idx+i. It is
-	// topped up when a segment becomes current (topped records for which one;
-	// -1 until the scan is first driven), never per chunk, so a prefetch open
-	// that fails is simply retried when its segment becomes current and
-	// surfaces exactly as it would without look-ahead.
-	open   []*pipeline
-	ahead  int
-	topped int
+	st   stream
 
 	finished  bool
 	countOnly int64 // pending synthetic rows for zero-attribute scans
@@ -120,7 +111,7 @@ func (t *Table) OpenScan(spec ScanSpec) (*Scan, error) { return t.NewScan(spec) 
 
 // NewScan opens a scan. Close must be called when done. The first segment
 // opens eagerly so a missing or unreadable file surfaces here; later ones
-// open as the walk (or its look-ahead window) reaches them.
+// open as the stream reaches them.
 func (t *Table) NewScan(spec ScanSpec) (*Scan, error) {
 	// Spec validation below reports API misuse by the caller, before any file
 	// is touched — deliberately outside the faults taxonomy, which classifies
@@ -151,55 +142,25 @@ func (t *Table) NewScan(spec ScanSpec) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scan{
-		t:      t,
-		b:      spec.B,
-		opts:   t.Options(),
-		spec:   spec,
-		segs:   segs,
-		topped: -1,
-	}
-	s.ahead = s.opts.ShardAhead
-	if s.opts.Parallelism <= 1 {
-		s.ahead = 1
-	}
-	first, err := s.openSegment(0)
-	if err != nil {
+	s := &Scan{t: t, b: spec.B, opts: t.Options(), spec: spec, segs: segs}
+	s.st = newStream(s)
+	if _, err := s.st.open(0); err != nil {
 		return nil, err
 	}
-	s.open = append(s.open, first)
 	return s, nil
 }
 
-// openSegment opens segment i and wraps it in an idle pipeline.
-func (s *Scan) openSegment(i int) (*pipeline, error) {
-	seg := s.segs[i]
-	reader, fp, err := seg.open()
-	if err != nil {
-		return nil, err
-	}
-	seg.noteAccess(s.spec.Needed)
-	return newPipeline(s, seg, reader, fp), nil
-}
-
-// Close stops the pipelines of every open segment (discarding chunks read
-// ahead but not yet returned) and releases their file handles; segments
-// beyond the look-ahead window were never opened. Idempotent: repeated
-// Close calls return nil, and NextBatch/DrainAgg after Close report
+// Close stops the stream (discarding results read ahead but not yet
+// committed) and releases the file handles of the segments still open;
+// segments beyond the window were never opened. Idempotent: repeated Close
+// calls return nil, and NextBatch/DrainAgg after Close report
 // faults.ErrClosed instead of scanning.
 func (s *Scan) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var first error
-	for _, p := range s.open {
-		if err := p.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.open = nil
-	return first
+	return s.st.close()
 }
 
 // NextBatch returns the next chunk of qualifying rows in columnar form.
@@ -237,7 +198,7 @@ func (s *Scan) NextBatch() (*Batch, bool, error) {
 }
 
 // ctxErr reports the scan's context error, if the scan is cancellable and
-// its context is done. On cancellation every open pipeline is shut down so
+// its context is done. On cancellation the stream is shut down so
 // read-ahead stops promptly; the error is sticky (the context stays done).
 func (s *Scan) ctxErr() error {
 	if s.spec.Ctx == nil {
@@ -245,9 +206,7 @@ func (s *Scan) ctxErr() error {
 	}
 	select {
 	case <-s.spec.Ctx.Done():
-		for _, p := range s.open {
-			p.shutdown()
-		}
+		s.st.shutdown()
 		return s.spec.Ctx.Err()
 	default:
 		return nil
@@ -255,7 +214,7 @@ func (s *Scan) ctxErr() error {
 }
 
 // usable reports why the scan cannot serve: closed, or failed earlier. A
-// failed scan stays failed — its worker scratch and pipeline state may be
+// failed scan stays failed — its worker scratch and stream state may be
 // mid-chunk, so re-entering would serve undefined data.
 func (s *Scan) usable() error {
 	if s.closed {
@@ -264,11 +223,24 @@ func (s *Scan) usable() error {
 	return s.err
 }
 
-// advance commits the walk's next chunk — into s.cur, or into the
-// aggregation merge table — and marks the scan finished past the last
-// segment. Any error is sticky: the scan refuses further use.
+// advance commits the stream's next position — a chunk into s.cur or into
+// the aggregation merge table, or the end of a segment — and marks the scan
+// finished past the last segment. Any error is sticky: the scan refuses
+// further use.
 func (s *Scan) advance() error {
-	err := s.nextChunk()
+	err := s.ctxErr()
+	if err == nil {
+		if s.cur != nil {
+			// The served batch is invalid from here on per the NextBatch
+			// contract: its buffers go back to the chunk tasks.
+			s.st.recycle(s.cur)
+			s.cur = nil
+		}
+		var o *chunkOut
+		if o, err = s.st.pull(); err == nil {
+			err = s.commit(o)
+		}
+	}
 	if err == io.EOF {
 		s.finished = true
 		return nil
@@ -277,93 +249,33 @@ func (s *Scan) advance() error {
 	return err
 }
 
-// current returns the pipeline of segment s.idx (io.EOF past the last
-// one), opening it if the look-ahead did not, and — once per segment — tops
-// the window up: segments idx+1..idx+ahead-1 get opened and their pipelines
-// started. The first top-up is deferred to the first drive (not NewScan) so
-// PushAgg, which must precede any pipeline start, still reaches every
-// segment.
-func (s *Scan) current() (*pipeline, error) {
-	if s.idx >= len(s.segs) {
-		return nil, io.EOF
-	}
-	if s.topped == s.idx {
-		return s.open[0], nil
-	}
-	if len(s.open) == 0 {
-		p, err := s.openSegment(s.idx)
-		if err != nil {
-			return nil, err
-		}
-		s.open = append(s.open, p)
-	}
-	s.topped = s.idx
-	for n := len(s.open); n < s.ahead && s.idx+n < len(s.segs); n++ {
-		p, err := s.openSegment(s.idx + n)
-		if err != nil {
-			break
-		}
-		p.start()
-		s.open = append(s.open, p)
-	}
-	return s.open[0], nil
-}
-
-// nextChunk pulls the current segment's next chunk in chunk order and
-// commits it, stepping to the next segment when one is exhausted. Returns
-// io.EOF when every segment is.
-func (s *Scan) nextChunk() error {
-	for {
-		p, err := s.current()
-		if err != nil {
-			return err
-		}
-		if err := s.ctxErr(); err != nil {
-			return err
-		}
-		if err := p.checkFile(); err != nil {
-			return err
-		}
-		if s.cur != nil {
-			// The served batch is invalid from here on per the NextBatch
-			// contract: its buffers go back to the chunk tasks.
-			p.recycle(s.cur)
-			s.cur = nil
-		}
-		o, err := p.pull()
-		if err == nil {
-			err = s.commit(p, o)
-		}
-		if err != io.EOF {
-			return err
-		}
-		s.open = s.open[1:]
-		s.idx++
-		if err := p.close(); err != nil {
-			return err
-		}
-		if s.countOnly > 0 {
-			// Serve the segment's synthetic rows before touching the next
-			// segment, keeping the walk as lazy as for real rows.
+// commit applies one processed chunk's deferred side effects to its
+// segment's structures and makes its batch current, and gives the
+// position's window slot back. Chunks are always committed in stream order
+// — by construction with the inline executor, via the ordered merge with
+// the pool — so positional-map, cache and statistics population is
+// deterministic regardless of worker interleaving. A result that ends a
+// segment closes its file; io.EOF reports the end of the last one.
+func (s *Scan) commit(o *chunkOut) error {
+	s.st.release()
+	run := s.st.runs[o.seg]
+	if run != nil {
+		if run.ended {
+			// Read ahead past a worker's end of data: the segment is done.
+			s.st.recycle(o)
 			return nil
 		}
+		if err := run.checkFile(); err != nil {
+			return err
+		}
 	}
-}
-
-// commit applies one processed chunk's deferred side effects to its
-// segment's structures and makes its batch current. Chunks are always
-// committed in file order — by construction with the inline executor, via
-// the ordered merge with the pool — so positional-map, cache and statistics
-// population is deterministic regardless of worker interleaving. Returns
-// io.EOF when the result ends the segment.
-func (s *Scan) commit(p *pipeline, o *chunkOut) error {
-	seg := p.seg
 	if o.b != nil {
 		s.b.Merge(o.b)
 	}
 	if o.err != nil {
 		return o.err
 	}
+	seg := run.seg
 	if o.errFields > 0 || o.dropped > 0 {
 		s.t.noteErrors(o.errFields, o.dropped)
 		s.errorsSeen += o.errFields
@@ -381,15 +293,15 @@ func (s *Scan) commit(p *pipeline, o *chunkOut) error {
 		seg.learnChunkBase(o.c+1, o.nextBase)
 	}
 	if o.eof {
-		seg.learnRowCount(p.rowsDone)
-		return io.EOF
+		seg.learnRowCount(run.rowsDone)
+		return s.endSegment(o.seg)
 	}
 	if o.countFinal >= 0 {
-		n := o.countFinal - p.rowsDone
-		p.rowsDone = o.countFinal
+		n := o.countFinal - run.rowsDone
+		run.rowsDone = o.countFinal
 		s.countOnly += n
 		s.b.RowsScanned += n
-		return io.EOF
+		return s.endSegment(o.seg)
 	}
 	if len(o.learnDel) > 0 {
 		sw := metrics.NewStopwatch(s.b)
@@ -414,16 +326,30 @@ func (s *Scan) commit(p *pipeline, o *chunkOut) error {
 		}
 		sw.Stop(metrics.NoDB)
 	}
-	p.rowsDone += int64(o.nrows)
+	run.rowsDone += int64(o.nrows)
 	if s.spec.Agg != nil {
 		// Aggregation pushdown: the chunk's partial groups merge here, in
 		// file order, and its row batch is never served. First-seen groups
 		// are retained by pointer in the merge table, so the output's batch
 		// buffers recycle immediately.
 		s.mergePartials(o)
-		p.recycle(o)
+		s.st.recycle(o)
 		return nil
 	}
 	s.cur = o
+	return nil
+}
+
+// endSegment closes segment i once its last result committed; io.EOF when
+// it was the table's last.
+func (s *Scan) endSegment(i int) error {
+	run := s.st.runs[i]
+	run.ended = true
+	if err := run.reader.Close(); err != nil {
+		return err
+	}
+	if i == len(s.segs)-1 {
+		return io.EOF
+	}
 	return nil
 }

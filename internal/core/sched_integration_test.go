@@ -31,7 +31,7 @@ func TestPoisonNoStall(t *testing.T) {
 		if _, ok, err := rc.Next(); err != nil || !ok {
 			t.Fatalf("first row: ok=%v err=%v", ok, err)
 		}
-		sc.open[0].results <- &chunkOut{c: c, poison: true,
+		sc.st.results <- &chunkOut{c: c, poison: true,
 			err:        faults.Panicked(path, c, "injected last-resort panic"),
 			countFinal: -1, base: -1, nextBase: -1}
 

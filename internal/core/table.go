@@ -28,9 +28,6 @@ import (
 const (
 	DefaultChunkRows        = 1024
 	DefaultStatsSampleEvery = 16
-	// DefaultShardAhead is the default segment look-ahead window of a scan
-	// (current segment + one prefetched).
-	DefaultShardAhead = 2
 	// DefaultAutoPartitionBytes is the partition size the catalog applies to
 	// single files large enough to benefit from byte-range partitioning when
 	// the user did not set partition_bytes explicitly.
@@ -51,9 +48,11 @@ type Options struct {
 	EnableStats      bool
 	StatsSampleEvery int // sample one row in N for statistics; default 16
 	MapEveryNth      int // keep every Nth tokenized delimiter in the map; default 1 (all)
-	// Parallelism is the number of chunk-pipeline workers per scan;
-	// <= 0 defaults to GOMAXPROCS. 1 runs the same pipeline with an inline
-	// executor (no goroutine, no pool) on the consumer's goroutine.
+	// Parallelism is the number of chunk workers a scan is sized for: with
+	// N > 1 its chunk tasks run on the Scheduler pool, at most a fixed
+	// multiple of N past the last commit; <= 0 defaults to GOMAXPROCS. 1
+	// runs the same stream with an inline executor (no goroutine, no pool)
+	// on the consumer's goroutine.
 	// Any setting yields identical rows, row order, and adaptive-structure
 	// contents; with N > 1 the breakdown's time categories aggregate CPU
 	// time across workers rather than wall-clock time.
@@ -70,19 +69,12 @@ type Options struct {
 	MaxErrors int64
 	// Scheduler is the shared DB-level worker pool parallel scans submit
 	// their chunk tasks to. nil falls back to the process-default pool
-	// (sched.Default). Parallelism stays the per-scan read-ahead window;
-	// the pool bound caps how many chunk tasks run at once process-wide.
-	// Scheduling never affects results: rows, counters and structure
-	// contents are byte-identical at any pool size.
+	// (sched.Default). Parallelism sizes each scan's window — a fixed
+	// multiple of it in chunks past the last commit, across segment
+	// boundaries alike; the pool bound caps how many chunk tasks run at
+	// once process-wide. Scheduling never affects results: rows, counters
+	// and structure contents are byte-identical at any pool size.
 	Scheduler *sched.Pool
-	// ShardAhead is the segment look-ahead window of a scan over a
-	// multi-segment table: up to ShardAhead segments have their pipelines
-	// running at once, while results and structure updates still commit
-	// strictly in segment order. <= 0 defaults to 2; 1 scans segments
-	// strictly one after another. Scans with Parallelism <= 1 always use
-	// window 1: the inline executor has nothing to overlap, and opening
-	// files early would only cost laziness.
-	ShardAhead int
 }
 
 // OnErrorPolicy is a table's malformed-input policy.
@@ -145,9 +137,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.ShardAhead <= 0 {
-		o.ShardAhead = DefaultShardAhead
 	}
 }
 
@@ -223,8 +212,8 @@ func NewShardedTable(location string, paths []string, sch *schema.Schema, opts O
 
 // NewPartitionedTable registers path for in-situ querying as byte-range
 // segments of roughly partBytes bytes (rounded forward to row boundaries),
-// so a cold scan of one very large file spreads over the segment look-ahead
-// window exactly like a multi-file table. The file must exist; its contents
+// so a cold scan of one very large file is one chunk stream over the
+// partitions, exactly like a multi-file table. The file must exist; its contents
 // are not read until the first use discovers the bounds. Once discovered
 // the bounds are fixed until the file is rewritten (appends extend the last
 // segment, which is unbounded).

@@ -48,7 +48,9 @@ type statsSample struct {
 // matter how parallel workers interleave, and an early-closed scan never
 // publishes knowledge about chunks the consumer did not receive.
 type chunkOut struct {
-	c     int
+	pos   int // stream position
+	seg   int // segment index within the scan
+	c     int // chunk ID within the segment
 	nrows int
 	cols  [][]value.Value
 	sel   []int32
@@ -62,9 +64,6 @@ type chunkOut struct {
 	// trusted (it may be -1 or a chunk already delivered): the ordered
 	// merge treats it as terminal instead of parking it in pending.
 	poison bool
-	// viaPool marks results produced by a pool task; the merge releases
-	// one read-ahead window slot (pipeline.sem) per such result.
-	viaPool bool
 
 	base     int64 // discovered base offset of chunk c, -1 when none
 	nextBase int64 // discovered base offset of chunk c+1, -1 when none
@@ -101,16 +100,16 @@ func (o *chunkOut) nextSample(attr int, kind value.Kind) *stats.Summary {
 
 // chunkWorker processes chunks one at a time: read (or receive) raw bytes,
 // selectively tokenize, convert, filter, and collect deferred structure
-// updates. A worker owns all its scratch, so the pipeline can run one per
-// goroutine.
+// updates. A worker owns all its scratch, so the stream can run one per
+// goroutine, and moves between the segments of its scan.
 type chunkWorker struct {
-	t    *Segment // the segment whose chunks this worker serves
+	t    *Segment // the segment of the chunk it serves
 	opts Options
 	spec ScanSpec
 	b    *metrics.Breakdown
 	// reader is this worker's view of the raw file (stateless preads).
 	reader *rawfile.Reader
-	// free hands back committed outputs from the pipeline's consumer for
+	// free hands back committed outputs from the scan's consumer for
 	// reuse; results in flight in the ordered merge are never touched.
 	free chan *chunkOut
 
@@ -227,7 +226,7 @@ func resetOut(o *chunkOut, c int) *chunkOut {
 	o.sel = o.sel[:0]
 	o.eof, o.err = false, nil
 	o.b = nil
-	o.poison, o.viaPool = false, false
+	o.poison = false
 	o.countFinal = -1
 	o.base, o.nextBase = -1, -1
 	o.learnDel = o.learnDel[:0]
@@ -240,7 +239,7 @@ func resetOut(o *chunkOut, c int) *chunkOut {
 }
 
 // newOut prepares the output for one chunk: a committed output drawn back
-// from the pipeline's free list, or a fresh one.
+// from the stream's free list, or a fresh one.
 func (w *chunkWorker) newOut(c int) *chunkOut {
 	select {
 	case o := <-w.free:

@@ -101,6 +101,7 @@ func (o *HashAgg) build() error {
 	}
 	table := make(map[string]*aggGroup)
 	keyBuf := make([]value.Value, len(o.keys))
+	var key []byte // the row's group key, rebuilt in place; a string only for a new group
 	step := func(row []value.Value) error {
 		for i, k := range o.keys {
 			v, err := k.Eval(row)
@@ -109,8 +110,8 @@ func (o *HashAgg) build() error {
 			}
 			keyBuf[i] = v
 		}
-		key := rowKey(keyBuf)
-		g := table[key]
+		key = value.AppendGroupKey(key[:0], keyBuf)
+		g := table[string(key)]
 		if g == nil {
 			g = &aggGroup{keyVals: copyRow(keyBuf), order: len(o.groups)}
 			for _, a := range o.aggs {
@@ -120,7 +121,7 @@ func (o *HashAgg) build() error {
 				}
 				g.states = append(g.states, st)
 			}
-			table[key] = g
+			table[string(key)] = g
 			o.groups = append(o.groups, g)
 		}
 		for i, a := range o.aggs {

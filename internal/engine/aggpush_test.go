@@ -81,6 +81,42 @@ func TestRowKeyEquivalentRowsStillCollide(t *testing.T) {
 	if rowKey([]value.Value{value.Int(7)}) == rowKey([]value.Value{value.Text("7")}) {
 		t.Error("kind byte lost: Int(7) and Text(\"7\") share a key")
 	}
+	// A date keys on its day number, as an int does: the kind byte alone
+	// keeps Date(2) and Int(2) apart.
+	if rowKey([]value.Value{value.Date(2)}) != rowKey([]value.Value{value.Date(2)}) {
+		t.Error("identical dates got different keys")
+	}
+	if rowKey([]value.Value{value.Date(2)}) == rowKey([]value.Value{value.Int(2)}) {
+		t.Error("kind byte lost: Date(2) and Int(2) share a key")
+	}
+}
+
+// TestHashAggBuildAllocsFlat pins the grouping lookup of the aggregation
+// build (the path that is not pushed into the scan): looking up an existing
+// group allocates nothing, so 20k input rows into 10 groups allocate what
+// 10k rows do.
+func TestHashAggBuildAllocsFlat(t *testing.T) {
+	env := expr.NewEnv()
+	env.Add("", "g", value.KindInt)
+	env.Add("", "v", value.KindInt)
+	allocs := func(n int) float64 {
+		var in [][]value.Value
+		for i := 0; i < n; i++ {
+			in = append(in, intRow(int64(i%10), int64(i)))
+		}
+		return testing.AllocsPerRun(3, func() {
+			op := NewHashAgg(rows(in...), []expr.Node{expr.Slot(env, 0)},
+				[]AggSpec{{Name: "COUNT", Star: true}, {Name: "SUM", Arg: expr.Slot(env, 1)}}, &metrics.Breakdown{})
+			if err := ForEachBatchRow(op, func([]value.Value) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			op.Close()
+		})
+	}
+	small, large := allocs(10_000), allocs(20_000)
+	if large > small+8 {
+		t.Errorf("%.0f allocations for 10k input rows, %.0f for 20k", small, large)
+	}
 }
 
 // TestHashAggChargesProcessing is the regression test for the silent

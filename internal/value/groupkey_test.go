@@ -42,3 +42,15 @@ func TestAppendGroupKey(t *testing.T) {
 		t.Error("append did not extend")
 	}
 }
+
+// TestAppendGroupKeyAllocs: numbers and dates render into the key in place,
+// with no string per value (a DATE used to go through FormatDate).
+func TestAppendGroupKeyAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, v := range []Value{Int(-42), Float(2.5), Date(19000)} {
+		vals := []Value{v}
+		if n := testing.AllocsPerRun(100, func() { buf = AppendGroupKey(buf[:0], vals) }); n != 0 {
+			t.Errorf("%v (kind %d): %.1f allocs/op, want 0", v, v.K, n)
+		}
+	}
+}

@@ -459,7 +459,7 @@ func AppendGroupKey(buf []byte, vals []Value) []byte {
 		buf = append(buf, byte(v.K))
 		var r []byte
 		switch v.K {
-		case KindInt:
+		case KindInt, KindDate: // a date keys on its day number; the kind byte keeps it apart from an int
 			r = strconv.AppendInt(num[:0], v.I, 10)
 		case KindFloat:
 			r = strconv.AppendFloat(num[:0], v.F, 'g', -1, 64)

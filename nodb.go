@@ -53,9 +53,10 @@ type Config struct {
 	// DataDir is where load-first heap files are written. Empty means a
 	// temporary directory that is removed on Close.
 	DataDir string
-	// Parallelism is the default number of chunk-pipeline workers per
-	// in-situ scan for tables registered on this DB; <= 0 uses GOMAXPROCS.
-	// 1 runs the pipeline inline on the caller's goroutine. Results, row
+	// Parallelism is the default number of chunk workers an in-situ scan
+	// is sized for, on tables registered on this DB: a scan keeps at most
+	// 4 × Parallelism chunks in flight; <= 0 uses GOMAXPROCS. 1 runs the
+	// pipeline inline on the caller's goroutine. Results, row
 	// order and adaptive-structure contents are identical at any setting;
 	// per-table RawOptions.Parallelism overrides this default. GROUP BY and
 	// aggregate queries over a single raw table additionally push partial
@@ -69,7 +70,7 @@ type Config struct {
 	// MaxWorkers goroutines instead of spawning N*Parallelism. <= 0 uses
 	// GOMAXPROCS (a process-wide pool shared with other DBs opened with the
 	// default). Results are byte-identical at any setting; Parallelism still
-	// bounds how many chunks a single scan keeps in flight.
+	// sizes how many chunks a single scan keeps in flight.
 	MaxWorkers int
 	// DisableVectorized forces row-at-a-time expression evaluation
 	// everywhere, turning off the column-at-a-time (vectorized) kernels
@@ -283,16 +284,10 @@ type RawOptions struct {
 	DisableStats     bool
 	MapEveryNth      int // keep every Nth tokenized position, default 1
 	StatsSampleEvery int // sample one row in N for statistics, default 16
-	// Parallelism is the number of chunk-pipeline workers per scan of this
-	// table. 0 inherits the DB's Config.Parallelism (which itself defaults
+	// Parallelism is the number of chunk workers a scan of this table is
+	// sized for (it keeps at most 4 × Parallelism chunks in flight). 0 inherits the DB's Config.Parallelism (which itself defaults
 	// to GOMAXPROCS); 1 runs the pipeline inline on the caller's goroutine.
 	Parallelism int
-	// ShardAhead is the number of segments (files of a glob, byte-range
-	// partitions) a scan keeps in flight concurrently: the current one plus
-	// ShardAhead-1 prefetched ones, merged strictly in segment order. 0 uses
-	// the default (2); 1 scans segments strictly one after another. Ignored
-	// when Parallelism is 1. The DDL equivalent is WITH (shard_ahead = N).
-	ShardAhead int
 	// PartitionBytes serves a single-file registration as byte-range
 	// segments of roughly this many bytes (rounded forward to row
 	// boundaries at first scan), each with its own positional-map/cache
@@ -343,10 +338,6 @@ func (o *RawOptions) coreOptions(defaultParallelism int) (core.Options, error) {
 	if o.Parallelism != 0 {
 		opts.Parallelism = o.Parallelism
 	}
-	if o.ShardAhead < 0 {
-		return opts, fmt.Errorf("nodb: ShardAhead must be >= 0, got %d", o.ShardAhead)
-	}
-	opts.ShardAhead = o.ShardAhead
 	return opts, nil
 }
 

@@ -126,10 +126,6 @@ func TestPartitionedQueryDifferential(t *testing.T) {
 		t.Errorf("partition panel label lacks byte span: %q", panels[1].Table)
 	}
 
-	if err := partDB.Exec(nil, "ALTER TABLE t SET (shard_ahead = 3)"); err == nil ||
-		!strings.Contains(err.Error(), "fixed at registration") {
-		t.Errorf("ALTER shard_ahead = %v, want fixed-at-registration error", err)
-	}
 	if err := partDB.Exec(nil, "ALTER TABLE t SET (partition_bytes = 1)"); err == nil ||
 		!strings.Contains(err.Error(), "fixed at registration") {
 		t.Errorf("ALTER partition_bytes = %v, want fixed-at-registration error", err)
@@ -149,7 +145,7 @@ func TestMaxWorkersDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		if err := db.Exec(nil, fmt.Sprintf(fixedDDL, path, "chunk_rows = 64, parallelism = 4, shard_ahead = 2, partition_bytes = 3968")); err != nil {
+		if err := db.Exec(nil, fmt.Sprintf(fixedDDL, path, "chunk_rows = 64, parallelism = 4, partition_bytes = 3968")); err != nil {
 			t.Fatal(err)
 		}
 		var rows []string
@@ -219,7 +215,7 @@ func TestConcurrentQueriesTorture(t *testing.T) {
 	ddl := "CREATE EXTERNAL TABLE %s (id int, name text, score float, grp int, flag bool) USING raw LOCATION '%s' WITH (%s)"
 	for _, c := range [][2]string{
 		{"t_plain", fmt.Sprintf(ddl, "t_plain", single, "chunk_rows = 64")},
-		{"t_shard", fmt.Sprintf(ddl, "t_shard", glob, "chunk_rows = 64, shard_ahead = 3")},
+		{"t_shard", fmt.Sprintf(ddl, "t_shard", glob, "chunk_rows = 64")},
 		{"t_part", fmt.Sprintf(ddl, "t_part", single, "chunk_rows = 64, partition_bytes = 30000")},
 	} {
 		if err := db.Exec(nil, c[1]); err != nil {
