@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -219,13 +220,20 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes the input and emits it ordered by the keys.
+// Sort materializes the input and emits it ordered by the keys. The input
+// rows and their key values go into two flat arenas, and only a permutation
+// of row ids is sorted, so the build allocates nothing per row.
 type Sort struct {
-	in     Operator
-	keys   []SortKey
-	b      *metrics.Breakdown
-	built  bool
-	sorted ValuesOp
+	in    Operator
+	keys  []SortKey
+	b     *metrics.Breakdown
+	built bool
+	width int
+	rows  []value.Value // input rows, width values each
+	kvals []value.Value // key values, len(keys) per row
+	perm  []int32       // row ids in output order
+	pos   int
+	out   rowBatch
 }
 
 // NewSort constructs the sort operator.
@@ -234,35 +242,35 @@ func NewSort(in Operator, keys []SortKey, b *metrics.Breakdown) *Sort {
 }
 
 func (o *Sort) build() error {
-	type sortable struct {
-		row  []value.Value
-		keys []value.Value
-	}
-	var items []sortable
+	n := 0
 	err := ForEachBatchRow(o.in, func(row []value.Value) error {
-		cp := copyRow(row)
-		kv := make([]value.Value, len(o.keys))
-		for i, k := range o.keys {
-			v, err := k.Expr.Eval(cp)
+		o.width = len(row)
+		o.rows = append(growDoubling(o.rows, len(row)), row...)
+		o.kvals = growDoubling(o.kvals, len(o.keys))
+		for _, k := range o.keys {
+			v, err := k.Expr.Eval(row)
 			if err != nil {
 				return err
 			}
-			kv[i] = v
+			o.kvals = append(o.kvals, v)
 		}
-		items = append(items, sortable{row: cp, keys: kv})
+		n++
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	o.perm = identity(nil, n)
 	sw := metrics.NewStopwatch(o.b)
-	sort.SliceStable(items, func(i, j int) bool {
-		for k := range o.keys {
-			c := value.Compare(items[i].keys[k], items[j].keys[k])
+	nk := len(o.keys)
+	sort.SliceStable(o.perm, func(i, j int) bool {
+		a, b := o.kvals[int(o.perm[i])*nk:], o.kvals[int(o.perm[j])*nk:]
+		for k, key := range o.keys {
+			c := value.Compare(a[k], b[k])
 			if c == 0 {
 				continue
 			}
-			if o.keys[k].Desc {
+			if key.Desc {
 				return c > 0
 			}
 			return c < 0
@@ -270,11 +278,17 @@ func (o *Sort) build() error {
 		return false
 	})
 	sw.Stop(metrics.Processing)
-	o.sorted.Rows = make([][]value.Value, len(items))
-	for i, it := range items {
-		o.sorted.Rows[i] = it.row
-	}
 	return nil
+}
+
+// growDoubling returns s with room for n more values. It doubles the
+// capacity when it must grow (append grows large slices by a quarter), so an
+// arena of N values is reallocated about log2(N) times.
+func growDoubling(s []value.Value, n int) []value.Value {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, cap(s)))
+	}
+	return s
 }
 
 // NextBatch implements Operator.
@@ -285,7 +299,14 @@ func (o *Sort) NextBatch() (*core.Batch, bool, error) {
 		}
 		o.built = true
 	}
-	return o.sorted.NextBatch()
+	n := min(len(o.perm)-o.pos, batchRows)
+	o.out.reset(o.width, n)
+	for _, id := range o.perm[o.pos : o.pos+n] {
+		start := int(id) * o.width
+		o.out.add(o.rows[start : start+o.width])
+	}
+	o.pos += n
+	return o.out.emit()
 }
 
 // Close implements Operator.

@@ -229,6 +229,33 @@ func TestSortStable(t *testing.T) {
 	}
 }
 
+// TestSortAllocsFlat: Sort holds its input in flat arenas and sorts a
+// permutation of row ids, so sorting 20k rows allocates about what sorting
+// 10k rows does.
+func TestSortAllocsFlat(t *testing.T) {
+	env := expr.NewEnv()
+	env.Add("", "a", value.KindInt)
+	env.Add("", "b", value.KindInt)
+	keys := []SortKey{{Expr: expr.Slot(env, 0)}, {Expr: expr.Slot(env, 1), Desc: true}}
+	allocs := func(n int) float64 {
+		var in [][]value.Value
+		for i := 0; i < n; i++ {
+			in = append(in, intRow(int64(i%97), int64(i)))
+		}
+		return testing.AllocsPerRun(3, func() {
+			op := NewSort(rows(in...), keys, &metrics.Breakdown{})
+			if err := ForEachBatchRow(op, func([]value.Value) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			op.Close()
+		})
+	}
+	small, large := allocs(10_000), allocs(20_000)
+	if large > small+8 {
+		t.Errorf("%.0f allocations for 10k input rows, %.0f for 20k", small, large)
+	}
+}
+
 func joinEnv() (probe, build []expr.Node) {
 	envL := expr.NewEnv()
 	envL.Add("", "a", value.KindInt)

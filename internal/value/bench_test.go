@@ -2,24 +2,6 @@ package value
 
 import "testing"
 
-func BenchmarkParseInt(b *testing.B) {
-	in := []byte("-1234567")
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseInt(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParseFloatField(b *testing.B) {
-	in := []byte("1234.5678")
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(in, KindFloat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCompareInts(b *testing.B) {
 	x, y := Int(42), Int(43)
 	for i := 0; i < b.N; i++ {
