@@ -9,10 +9,10 @@ import (
 	"nodb/internal/workload"
 )
 
-// TestDemoShapes pins the shapes the paper's demo shows — the Fig. 3
-// contenders, the race's start, the component ablation, the map grain, the
-// attribute-count and budget knobs and within-epoch adaptation — on
-// deterministic counters only, never on wall-clock time.
+// TestDemoShapes pins the shapes of the demo's adaptive components — the
+// component ablation, the map grain, the attribute-count knob and
+// within-epoch adaptation — on deterministic counters only, never on
+// wall-clock time. internal/harness checks the demo's scenarios.
 func TestDemoShapes(t *testing.T) {
 	// query runs q and returns its stats.
 	query := func(t *testing.T, db *DB, q string) QueryStats {
@@ -44,55 +44,10 @@ func TestDemoShapes(t *testing.T) {
 		}
 		return db
 	}
-	const stdQuery = "SELECT a2, a4 FROM t WHERE a2 < 250"
-
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"fig3 contenders", func(t *testing.T) {
-			path, spec, size := gen(t, 4000, 6)
-			loaded := openDB(t)
-			_, ls, err := loaded.Load("t", path, spec.SchemaSpec(), ProfilePostgres)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ls.BytesRead != size {
-				t.Errorf("load read %d bytes of a %d-byte file", ls.BytesRead, size)
-			}
-			base := openDB(t)
-			if err := base.RegisterBaseline("t", path, spec.SchemaSpec()); err != nil {
-				t.Fatal(err)
-			}
-			pgraw := raw(t, path, spec, nil)
-			p, err := pgraw.Panel("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.RowCount != -1 || p.NumChunks != 0 || p.PosMap.UsedBytes != 0 || p.Cache.UsedBytes != 0 {
-				t.Errorf("raw table learned something before its first query: %+v", p)
-			}
-			var baseTok, rawTok, rawHits int64
-			for i := 0; i < 6; i++ {
-				if s := query(t, loaded, stdQuery); s.FieldsTokenized != 0 || s.CacheHitFields != 0 {
-					t.Errorf("load-first query %d tokenized %d, cache hits %d", i, s.FieldsTokenized, s.CacheHitFields)
-				}
-				s := query(t, base, stdQuery)
-				if s.FieldsTokenized == 0 || s.CacheHitFields != 0 {
-					t.Errorf("baseline query %d tokenized %d, cache hits %d", i, s.FieldsTokenized, s.CacheHitFields)
-				}
-				baseTok += s.FieldsTokenized
-				s = query(t, pgraw, stdQuery)
-				if i == 0 && s.BytesRead != size {
-					t.Errorf("first raw query read %d bytes of a %d-byte file", s.BytesRead, size)
-				}
-				rawTok += s.FieldsTokenized
-				rawHits += s.CacheHitFields
-			}
-			if rawTok >= baseTok || rawHits == 0 {
-				t.Errorf("raw tokenized %d (baseline %d), cache hits %d", rawTok, baseTok, rawHits)
-			}
-		}},
 		{"ablation", func(t *testing.T) {
 			// Unfiltered, so every touched attribute is converted in full
 			// and the cache can take over completely.
@@ -147,31 +102,6 @@ func TestDemoShapes(t *testing.T) {
 			}
 			if cold[1] <= cold[0] {
 				t.Errorf("cold tokenizing %d at 12 attributes, %d at 4", cold[1], cold[0])
-			}
-		}},
-		{"budget", func(t *testing.T) {
-			path, spec, size := gen(t, 4000, 6)
-			qs := workload.ShiftingWindows("t", spec.Schema(), 2, 4, 1)
-			var hits [3]int64
-			for i, budget := range []int64{size / 20, size / 3, 0} {
-				db := raw(t, path, spec, &RawOptions{PosMapBudget: budget, CacheBudget: budget})
-				for pass := 0; pass < 2; pass++ {
-					for _, q := range qs {
-						if s := query(t, db, q.SQL); pass == 1 {
-							hits[i] += s.CacheHitFields
-						}
-					}
-				}
-				p, _ := db.Panel("t")
-				if budget > 0 && (p.PosMap.UsedBytes > budget || p.Cache.UsedBytes > budget) {
-					t.Errorf("budget %d: map %d bytes, cache %d", budget, p.PosMap.UsedBytes, p.Cache.UsedBytes)
-				}
-				if p.PosMap.Grains == 0 && budget != size/20 {
-					t.Errorf("budget %d: no map grains after the workload", budget)
-				}
-			}
-			if hits[2] < hits[0] {
-				t.Errorf("unlimited budget hit %d fields, tiny budget %d", hits[2], hits[0])
 			}
 		}},
 		{"epoch adaptation", func(t *testing.T) {

@@ -1,280 +1,293 @@
+// Package harness checks the paper's demo scenarios end to end on the
+// public nodb API: the Fig. 2 monitoring panel, the Fig. 3 contenders, the
+// friendly race, the updates scenario and the width and budget knobs. It
+// holds tests only; cmd/bench and the examples run the scenarios. Every
+// check reads deterministic counters, never wall-clock time.
 package harness
 
 import (
-	"strconv"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"nodb"
+	"nodb/internal/datagen"
+	"nodb/internal/value"
+	"nodb/internal/workload"
 )
 
-// smallCfg keeps experiment tests fast.
-func smallCfg(t *testing.T) Config {
-	return Config{Dir: t.TempDir(), Rows: 4000, Attrs: 6, Queries: 6, Seed: 1}
-}
+// stdQuery projects two attributes of the generated 6-attribute table
+// under a 25% filter on the first.
+const stdQuery = "SELECT a2, a4 FROM t WHERE a2 < 250"
 
-// cell parses a numeric report cell.
-func cell(t *testing.T, rep *Report, row, col int) float64 {
+// openDB opens a DB closed at the end of the test.
+func openDB(t *testing.T) *nodb.DB {
 	t.Helper()
-	v, err := strconv.ParseFloat(rep.Rows[row][col], 64)
+	db, err := nodb.Open(nodb.Config{})
 	if err != nil {
-		t.Fatalf("cell (%d,%d)=%q not numeric: %v", row, col, rep.Rows[row][col], err)
+		t.Fatal(err)
 	}
-	return v
+	t.Cleanup(func() { db.Close() })
+	return db
 }
 
-// colIndex finds a header's position.
-func colIndex(t *testing.T, rep *Report, name string) int {
+// gen writes spec to a temporary file and returns its path and size.
+func gen(t *testing.T, spec datagen.Spec) (string, int64) {
 	t.Helper()
-	for i, h := range rep.Headers {
-		if h == name {
-			return i
-		}
+	path := filepath.Join(t.TempDir(), "t.csv")
+	size, err := spec.WriteFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("header %q not in %v", name, rep.Headers)
-	return -1
+	return path, size
 }
 
+// raw opens a fresh DB with the file registered in situ as t.
+func raw(t *testing.T, path string, spec datagen.Spec, opts *nodb.RawOptions) *nodb.DB {
+	t.Helper()
+	db := openDB(t)
+	if err := db.RegisterRaw("t", path, spec.SchemaSpec(), opts); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// query runs q and returns its result.
+func query(t *testing.T, db *nodb.DB, q string) *nodb.Result {
+	t.Helper()
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res
+}
+
+// count returns SELECT COUNT(*) FROM t.
+func count(t *testing.T, db *nodb.DB) int64 {
+	t.Helper()
+	return query(t, db, "SELECT COUNT(*) FROM t").Rows[0][0].(int64)
+}
+
+// sortedRows renders a result's rows order-insensitively.
+func sortedRows(res *nodb.Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = fmt.Sprint(r...)
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, "\n")
+}
+
+// TestFig3Breakdown: the load-first engine pays its load up front and
+// never tokenizes at query time, the baseline tokenizes every query and
+// never hits a cache, and the raw table tokenizes less than the baseline
+// because it serves later queries from its cache.
 func TestFig3Breakdown(t *testing.T) {
-	rep, err := Fig3Breakdown(smallCfg(t))
+	spec := datagen.IntTable(4000, 6, 1)
+	path, size := gen(t, spec)
+	loaded := openDB(t)
+	_, ls, err := loaded.Load("t", path, spec.SchemaSpec(), nodb.ProfilePostgres)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows=%v", rep.Rows)
+	if ls.BytesRead != size {
+		t.Errorf("load read %d bytes of a %d-byte file", ls.BytesRead, size)
 	}
-	tok := colIndex(t, rep, "tokenized")
-	hits := colIndex(t, rep, "cache_hits")
-	loadCol := colIndex(t, rep, "load_ms")
-
-	// Load-first: pays load, never tokenizes at query time.
-	if cell(t, rep, 0, tok) != 0 || cell(t, rep, 0, loadCol) <= 0 {
-		t.Errorf("load-first row wrong: %v", rep.Rows[0])
+	base := openDB(t)
+	if err := base.RegisterBaseline("t", path, spec.SchemaSpec()); err != nil {
+		t.Fatal(err)
 	}
-	// Baseline: tokenizes every query, never hits a cache.
-	if cell(t, rep, 1, tok) == 0 || cell(t, rep, 1, hits) != 0 {
-		t.Errorf("baseline row wrong: %v", rep.Rows[1])
+	pgraw := raw(t, path, spec, nil)
+	var baseTok, rawTok, rawHits int64
+	for i := 0; i < 6; i++ {
+		if s := query(t, loaded, stdQuery).Stats; s.FieldsTokenized != 0 || s.CacheHitFields != 0 {
+			t.Errorf("load-first query %d tokenized %d, cache hits %d", i, s.FieldsTokenized, s.CacheHitFields)
+		}
+		s := query(t, base, stdQuery).Stats
+		if s.FieldsTokenized == 0 || s.CacheHitFields != 0 {
+			t.Errorf("baseline query %d tokenized %d, cache hits %d", i, s.FieldsTokenized, s.CacheHitFields)
+		}
+		baseTok += s.FieldsTokenized
+		s = query(t, pgraw, stdQuery).Stats
+		rawTok += s.FieldsTokenized
+		rawHits += s.CacheHitFields
 	}
-	// PostgresRaw: tokenizes strictly less than baseline, hits the cache.
-	if cell(t, rep, 2, tok) >= cell(t, rep, 1, tok) {
-		t.Errorf("postgresraw tokenized %v >= baseline %v", rep.Rows[2][tok], rep.Rows[1][tok])
-	}
-	if cell(t, rep, 2, hits) == 0 {
-		t.Errorf("postgresraw no cache hits: %v", rep.Rows[2])
-	}
-	if !strings.Contains(rep.String(), "F3-BREAKDOWN") {
-		t.Error("render broken")
+	if rawTok >= baseTok || rawHits == 0 {
+		t.Errorf("raw tokenized %d (baseline %d), cache hits %d", rawTok, baseTok, rawHits)
 	}
 }
 
+// TestFig2Monitor runs a shifting workload under budgets of a third of the
+// file and reads the panel after every query: occupancy stays within the
+// budgets, and the map holds grains at the end.
 func TestFig2Monitor(t *testing.T) {
-	rep, err := Fig2Monitor(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) < 4 {
-		t.Fatalf("rows=%d", len(rep.Rows))
-	}
-	grains := colIndex(t, rep, "map_grains")
-	if cell(t, rep, len(rep.Rows)-1, grains) == 0 {
-		t.Error("no positional map grains after workload")
-	}
-	mapU := colIndex(t, rep, "map_util%")
-	last := cell(t, rep, len(rep.Rows)-1, mapU)
-	if last <= 0 || last > 101 {
-		t.Errorf("map utilization=%v", last)
-	}
-	if len(rep.Notes) == 0 || !strings.Contains(rep.Notes[0], "monitoring panel") {
-		t.Error("final panel missing")
-	}
-}
-
-func TestAdaptEpochs(t *testing.T) {
-	rep, err := AdaptEpochs(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok := colIndex(t, rep, "tokenized")
-	epochCol := colIndex(t, rep, "epoch")
-	// Find a pair of consecutive same-epoch queries: the later one should
-	// tokenize no more than the first of its epoch (adaptation).
-	firstTok := map[string]float64{}
-	adapted := false
-	for r := range rep.Rows {
-		ep := rep.Rows[r][epochCol]
-		v := cell(t, rep, r, tok)
-		if f, ok := firstTok[ep]; ok {
-			if v < f {
-				adapted = true
-			}
-		} else {
-			firstTok[ep] = v
+	spec := datagen.IntTable(4000, 6, 1)
+	path, size := gen(t, spec)
+	budget := size / 3
+	db := raw(t, path, spec, &nodb.RawOptions{PosMapBudget: budget, CacheBudget: budget})
+	qs := workload.ShiftingWindows("t", spec.Schema(), 3, 3, 1)
+	var p *nodb.Panel
+	for i, q := range qs {
+		query(t, db, q.SQL)
+		var err error
+		if p, err = db.Panel("t"); err != nil {
+			t.Fatal(err)
+		}
+		if p.PosMap.UsedBytes > budget || p.Cache.UsedBytes > budget {
+			t.Errorf("query %d: map %d bytes, cache %d, budget %d", i+1, p.PosMap.UsedBytes, p.Cache.UsedBytes, budget)
 		}
 	}
-	if !adapted {
-		t.Error("no within-epoch adaptation visible in tokenized counts")
+	if p.Queries != int64(len(qs)) || p.PosMap.Grains == 0 || p.PosMap.UsedBytes == 0 {
+		t.Errorf("after %d queries: panel queries %d, map grains %d, map bytes %d",
+			len(qs), p.Queries, p.PosMap.Grains, p.PosMap.UsedBytes)
+	}
+	if !strings.Contains(p.String(), "system monitoring panel") {
+		t.Errorf("panel render:\n%s", p)
 	}
 }
 
-func TestUpdatesScenario(t *testing.T) {
-	rep, err := UpdatesScenario(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows=%v", rep.Rows)
-	}
-	ok := colIndex(t, rep, "ok")
-	for r := range rep.Rows {
-		if rep.Rows[r][ok] != "true" {
-			t.Errorf("step %d failed: %v", r+1, rep.Rows[r])
-		}
-	}
-}
-
+// TestRace: the raw contestant can answer as soon as it is registered,
+// having read and learned nothing, while every load-first contestant reads
+// the whole file before its first query; all four give the same answers.
 func TestRace(t *testing.T) {
-	rep, err := Race(smallCfg(t))
+	spec := datagen.IntTable(4000, 6, 1)
+	path, size := gen(t, spec)
+	pgraw := raw(t, path, spec, nil)
+	p, err := pgraw.Panel("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First event row is init: postgresraw's init must be the cheapest.
-	rawInit := cell(t, rep, 0, 1)
-	for c := 2; c < len(rep.Headers); c++ {
-		if cell(t, rep, 0, c) <= rawInit {
-			t.Errorf("%s init %v <= postgresraw init %v", rep.Headers[c], rep.Rows[0][c], rawInit)
-		}
+	if p.RowCount != -1 || p.NumChunks != 0 || p.PosMap.UsedBytes != 0 || p.Cache.UsedBytes != 0 {
+		t.Errorf("raw table learned something before its first query: %+v", p)
 	}
-	// Cumulative times must be monotone per contestant.
-	for c := 1; c < len(rep.Headers); c++ {
-		for r := 1; r < len(rep.Rows); r++ {
-			if cell(t, rep, r, c) < cell(t, rep, r-1, c) {
-				t.Errorf("column %s not monotone at row %d", rep.Headers[c], r)
+	contestants := []*nodb.DB{pgraw}
+	for _, c := range []struct {
+		profile nodb.Profile
+		index   []string
+	}{
+		{nodb.ProfilePostgres, nil},
+		{nodb.ProfileMySQL, nil},
+		{nodb.ProfileDBMSX, []string{"a0"}},
+	} {
+		db := openDB(t)
+		_, ls, err := db.Load("t", path, spec.SchemaSpec(), c.profile, c.index...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ls.BytesRead != size {
+			t.Errorf("profile %v: load read %d bytes of a %d-byte file", c.profile, ls.BytesRead, size)
+		}
+		contestants = append(contestants, db)
+	}
+	for i, q := range workload.ShiftingWindows("t", spec.Schema(), 2, 4, 1) {
+		res := query(t, pgraw, q.SQL)
+		if i == 0 && res.Stats.BytesRead != size {
+			t.Errorf("first raw query read %d bytes of a %d-byte file", res.Stats.BytesRead, size)
+		}
+		want := sortedRows(res)
+		for c, db := range contestants[1:] {
+			if got := sortedRows(query(t, db, q.SQL)); got != want {
+				t.Errorf("%s: load-first contestant %d answers differ from the raw table", q.SQL, c+1)
 			}
 		}
 	}
-	if len(rep.Notes) != 3 {
-		t.Errorf("notes=%v", rep.Notes)
-	}
 }
 
-func TestSweepAttrs(t *testing.T) {
-	rep, err := SweepAttrs(smallCfg(t), []int{4, 12})
+// TestUpdatesScenario: an append outside the database and then a rewrite
+// are both visible to the next query, with no re-registration.
+func TestUpdatesScenario(t *testing.T) {
+	const rows, attrs, extra = 4000, 6, 100
+	spec := datagen.IntTable(rows, attrs, 1)
+	path, _ := gen(t, spec)
+	db := raw(t, path, spec, nil)
+	if n := count(t, db); n != rows {
+		t.Fatalf("initial count %d, want %d", n, rows)
+	}
+	query(t, db, stdQuery)
+
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTok := colIndex(t, rep, "cold_tokenized")
-	warmTok := colIndex(t, rep, "warm_tokenized")
-	if cell(t, rep, 1, coldTok) <= cell(t, rep, 0, coldTok) {
-		t.Errorf("cold tokenizing did not grow with attrs: %v", rep.Rows)
+	line := strings.TrimSuffix(strings.Repeat("7,", attrs), ",") + "\n"
+	if _, err := f.WriteString(strings.Repeat(line, extra)); err != nil {
+		t.Fatal(err)
 	}
-	for r := range rep.Rows {
-		if cell(t, rep, r, warmTok) != 0 {
-			t.Errorf("warm query tokenized: %v", rep.Rows[r])
-		}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(t, db); n != rows+extra {
+		t.Errorf("count after appending %d rows: %d, want %d", extra, n, rows+extra)
+	}
+
+	small := datagen.IntTable(rows/10, attrs, 2)
+	if _, err := small.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if change, err := db.Refresh("t"); err != nil || change != "rewritten" {
+		t.Fatalf("refresh after rewrite: change %q, err %v", change, err)
+	}
+	if n := count(t, db); n != rows/10 {
+		t.Errorf("count after rewrite: %d, want %d", n, rows/10)
 	}
 }
 
+// TestSweepWidth: whatever the width of its text attributes, a repeated
+// unfiltered projection is served from the cache and reads no file bytes.
 func TestSweepWidth(t *testing.T) {
-	rep, err := SweepWidth(smallCfg(t), []int{4, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb := colIndex(t, rep, "warm_bytes_read")
-	for r := range rep.Rows {
-		if cell(t, rep, r, wb) != 0 {
-			t.Errorf("warm query read bytes: %v", rep.Rows[r])
+	for _, w := range []int{4, 32} {
+		cols := make([]datagen.ColumnSpec, 6)
+		for i := range cols {
+			kind := value.KindInt
+			if i%2 == 0 {
+				kind = value.KindText
+			}
+			cols[i] = datagen.ColumnSpec{Name: fmt.Sprintf("a%d", i), Kind: kind, Card: 1000, Width: w}
+		}
+		spec := datagen.Spec{Rows: 4000, Cols: cols, Seed: 1}
+		path, _ := gen(t, spec)
+		db := raw(t, path, spec, nil)
+		cold := query(t, db, "SELECT a3 FROM t")
+		warm := query(t, db, "SELECT a3 FROM t")
+		if cold.Stats.BytesRead == 0 || warm.Stats.BytesRead != 0 {
+			t.Errorf("width %d: cold query read %d bytes, warm %d", w, cold.Stats.BytesRead, warm.Stats.BytesRead)
+		}
+		if sortedRows(cold) != sortedRows(warm) {
+			t.Errorf("width %d: warm answer differs from cold", w)
 		}
 	}
 }
 
+// TestSweepBudget runs a shifting workload twice at a range of budgets: the
+// structures never outgrow their budget, and an unlimited budget serves at
+// least as many fields from the cache on the second pass as a tiny one.
 func TestSweepBudget(t *testing.T) {
-	rep, err := SweepBudget(smallCfg(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows=%v", rep.Rows)
-	}
-	hits := colIndex(t, rep, "cache_hits")
-	// Unlimited budget (last row) must hit at least as much as the smallest.
-	if cell(t, rep, 3, hits) < cell(t, rep, 0, hits) {
-		t.Errorf("unlimited budget hits %v < tiny budget %v", rep.Rows[3][hits], rep.Rows[0][hits])
-	}
-}
-
-func TestAblation(t *testing.T) {
-	rep, err := Ablation(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows=%v", rep.Rows)
-	}
-	tok := colIndex(t, rep, "steady_tokenized")
-	conv := colIndex(t, rep, "steady_converted")
-	bytes := colIndex(t, rep, "steady_bytes")
-	jumps := colIndex(t, rep, "steady_map_jumps")
-	// none: tokenizes and converts every time.
-	if cell(t, rep, 0, tok) == 0 || cell(t, rep, 0, conv) == 0 {
-		t.Errorf("baseline config did no raw work: %v", rep.Rows[0])
-	}
-	// posmap only: no tokenizing (exact jumps), still converts and reads.
-	if cell(t, rep, 1, tok) != 0 || cell(t, rep, 1, conv) == 0 || cell(t, rep, 1, jumps) == 0 {
-		t.Errorf("posmap row wrong: %v", rep.Rows[1])
-	}
-	// cache only: no conversion, no bytes read.
-	if cell(t, rep, 2, conv) != 0 || cell(t, rep, 2, bytes) != 0 {
-		t.Errorf("cache row wrong: %v", rep.Rows[2])
-	}
-	// both: nothing raw at all.
-	if cell(t, rep, 3, tok) != 0 || cell(t, rep, 3, conv) != 0 || cell(t, rep, 3, bytes) != 0 {
-		t.Errorf("PM+C row wrong: %v", rep.Rows[3])
-	}
-}
-
-func TestRunDispatchAndAll(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Rows: 1500, Attrs: 5, Queries: 4, Seed: 2}
-	for _, id := range []string{"F2", "F3", "ADAPT", "UPDATES", "RACE",
-		"SWEEP-ATTRS", "SWEEP-WIDTH", "SWEEP-BUDGET", "SWEEP-MAPGRAIN", "ABLATION"} {
-		reps, err := Run(id, cfg)
+	spec := datagen.IntTable(4000, 6, 1)
+	path, size := gen(t, spec)
+	qs := workload.ShiftingWindows("t", spec.Schema(), 2, 4, 1)
+	budgets := []int64{size / 20, size / 5, size, 0} // 0 is unlimited
+	hits := make([]int64, len(budgets))
+	for i, budget := range budgets {
+		db := raw(t, path, spec, &nodb.RawOptions{PosMapBudget: budget, CacheBudget: budget})
+		for pass := 0; pass < 2; pass++ {
+			for _, q := range qs {
+				if s := query(t, db, q.SQL).Stats; pass == 1 {
+					hits[i] += s.CacheHitFields
+				}
+			}
+		}
+		p, err := db.Panel("t")
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatal(err)
 		}
-		if len(reps) != 1 || len(reps[0].Rows) == 0 {
-			t.Errorf("%s: empty report", id)
+		if budget > 0 && (p.PosMap.UsedBytes > budget || p.Cache.UsedBytes > budget) {
+			t.Errorf("budget %d: map %d bytes, cache %d", budget, p.PosMap.UsedBytes, p.Cache.UsedBytes)
 		}
 	}
-	if _, err := Run("NOPE", cfg); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	reps, err := Run("ALL", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 10 {
-		t.Errorf("ALL produced %d reports", len(reps))
-	}
-}
-
-func TestSweepMapGrain(t *testing.T) {
-	rep, err := SweepMapGrain(smallCfg(t), []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows=%v", rep.Rows)
-	}
-	mapBytes := colIndex(t, rep, "map_bytes")
-	probeTok := colIndex(t, rep, "probe_tokenized")
-	near := colIndex(t, rep, "probe_near_jumps")
-	// Sparser map uses less memory.
-	if cell(t, rep, 1, mapBytes) >= cell(t, rep, 0, mapBytes) {
-		t.Errorf("every-8th map not smaller: %v", rep.Rows)
-	}
-	// Dense map answers the probe exactly; sparse map tokenizes short gaps
-	// from nearest tracked positions.
-	if cell(t, rep, 0, probeTok) != 0 {
-		t.Errorf("dense map probe tokenized: %v", rep.Rows[0])
-	}
-	if cell(t, rep, 1, probeTok) == 0 || cell(t, rep, 1, near) == 0 {
-		t.Errorf("sparse map probe did not use near jumps: %v", rep.Rows[1])
+	if last := len(budgets) - 1; hits[last] < hits[0] {
+		t.Errorf("unlimited budget hit %d fields, budget %d hit %d", hits[last], budgets[0], hits[0])
 	}
 }
