@@ -244,7 +244,7 @@ func renderRows(rows [][]any, ordered bool) []string {
 // — LIMIT/OFFSET spanning batches, LIMIT 0, chunks the pushed filter
 // empties flowing into Limit/Distinct/Sort/HashAgg/both joins, NULL join
 // keys, LEFT OUTER rows without a match, an early Close — and compares
-// each result with the DisableVectorized plan and a naive Go reference.
+// each result with the row-evaluator plan and a naive Go reference.
 func TestBatchBoundaries(t *testing.T) {
 	as, bs := boundaryData()
 	dir := t.TempDir()
@@ -274,7 +274,11 @@ func TestBatchBoundaries(t *testing.T) {
 	for _, chunk := range []int{1, 7, 64} {
 		for _, par := range []int{1, 3} {
 			open := func(noVec bool) *DB {
-				db, err := Open(Config{DisableVectorized: noVec})
+				openDB := Open
+				if noVec {
+					openDB = OpenRowEval
+				}
+				db, err := openDB(Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,11 +301,11 @@ func TestBatchBoundaries(t *testing.T) {
 				}
 				rowRes, err := rowDB.Query(c.q)
 				if err != nil {
-					t.Fatalf("%s (DisableVectorized): %v", label, err)
+					t.Fatalf("%s (row evaluator): %v", label, err)
 				}
 				vec, row := renderRows(got.Rows, true), renderRows(rowRes.Rows, true)
 				if strings.Join(vec, "\n") != strings.Join(row, "\n") {
-					t.Fatalf("%s: vectorized and DisableVectorized plans differ:\n%v\n%v", label, vec, row)
+					t.Fatalf("%s: vectorized and row-evaluator plans differ:\n%v\n%v", label, vec, row)
 				}
 				want := renderRows(c.ref(as, bs), c.ordered)
 				if g := renderRows(got.Rows, c.ordered); strings.Join(g, "\n") != strings.Join(want, "\n") {

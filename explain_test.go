@@ -112,7 +112,7 @@ func TestExplainRoundTripsThroughCLIShape(t *testing.T) {
 }
 
 // TestExplainVectorizedMarker: plans whose filter/projection run
-// column-at-a-time carry a "vec" marker; DisableVectorized removes it.
+// column-at-a-time carry a "vec" marker; the row-evaluator DB has none.
 func TestExplainVectorizedMarker(t *testing.T) {
 	db := openDB(t)
 	path := writeCSV(t, 50)
@@ -132,7 +132,7 @@ func TestExplainVectorizedMarker(t *testing.T) {
 		t.Errorf("mixed-kind COALESCE projection should not carry the vec marker:\n%s", out)
 	}
 
-	rowCfg, err := Open(Config{DisableVectorized: true})
+	rowCfg, err := OpenRowEval(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +140,6 @@ func TestExplainVectorizedMarker(t *testing.T) {
 	rowCfg.RegisterRaw("t", path, testSpec, nil)
 	out = explainLines(t, rowCfg, "EXPLAIN SELECT id, grp FROM t WHERE grp < 3")
 	if strings.Contains(out, " vec") {
-		t.Errorf("DisableVectorized plan still carries vec markers:\n%s", out)
+		t.Errorf("row-evaluator plan still carries vec markers:\n%s", out)
 	}
 }

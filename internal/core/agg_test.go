@@ -113,7 +113,7 @@ func TestAggPushdownMatchesRowLoop(t *testing.T) {
 	opts.Parallelism = 4
 	tbl := newTable(t, path, opts)
 
-	filter := func(row []value.Value) (bool, error) { return row[0].I%3 != 0, nil }
+	filter := rowFilter(func(row []value.Value) (bool, error) { return row[0].I%3 != 0, nil })
 	spec := ScanSpec{Needed: []int{0, 1, 2, 3}, FilterAttrs: []int{0}, Filter: filter}
 	got, _ := drainAggGroups(t, tbl, spec, aggTestSpec())
 

@@ -161,9 +161,9 @@ func TestScanWithFilter(t *testing.T) {
 	spec := ScanSpec{
 		Needed:      needed,
 		FilterAttrs: []int{3},
-		Filter: func(row []value.Value) (bool, error) {
+		Filter: rowFilter(func(row []value.Value) (bool, error) {
 			return row[2].I == 5, nil // grp == 5
-		},
+		}),
 	}
 	got := collect(t, tbl, spec)
 	var want [][]value.Value
@@ -272,7 +272,7 @@ func TestSelectiveTupleFormation(t *testing.T) {
 	spec := ScanSpec{
 		Needed:      []int{3, 1}, // grp is filter; name is projection-only
 		FilterAttrs: []int{3},
-		Filter:      func(row []value.Value) (bool, error) { return row[0].I == 0, nil },
+		Filter:      rowFilter(func(row []value.Value) (bool, error) { return row[0].I == 0, nil }),
 		B:           &b,
 	}
 	got := collect(t, tbl, spec)
@@ -660,10 +660,10 @@ func TestEquivalenceQuick(t *testing.T) {
 			spec := ScanSpec{Needed: perm}
 			if useFilter {
 				spec.FilterAttrs = []int{filterAttr}
-				spec.Filter = func(row []value.Value) (bool, error) {
+				spec.Filter = rowFilter(func(row []value.Value) (bool, error) {
 					v := row[filterSlot]
 					return !v.IsNull() && v.I < threshold, nil
-				}
+				})
 			}
 			var want [][]value.Value
 			for _, rv := range ref {

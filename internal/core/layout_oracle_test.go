@@ -121,9 +121,9 @@ func (q oracleQuery) spec(b *metrics.Breakdown) ScanSpec {
 			}
 		}
 		spec.FilterAttrs = []int{3}
-		spec.Filter = func(row []value.Value) (bool, error) {
+		spec.Filter = rowFilter(func(row []value.Value) (bool, error) {
 			return row[gi].K == value.KindInt && row[gi].I < 4, nil
-		}
+		})
 	}
 	return spec
 }

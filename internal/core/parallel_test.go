@@ -114,9 +114,9 @@ func TestParallelEquivalenceFiltered(t *testing.T) {
 		return ScanSpec{
 			Needed:      needed,
 			FilterAttrs: []int{3},
-			Filter: func(row []value.Value) (bool, error) {
+			Filter: rowFilter(func(row []value.Value) (bool, error) {
 				return row[2].I == 5, nil // grp == 5
-			},
+			}),
 			B: b,
 		}
 	}
@@ -246,7 +246,7 @@ func TestNextBatch(t *testing.T) {
 				spec := ScanSpec{Needed: needed, B: &metrics.Breakdown{}}
 				if filtered {
 					spec.FilterAttrs = []int{3}
-					spec.Filter = func(row []value.Value) (bool, error) { return row[1].I%2 == 0, nil }
+					spec.Filter = rowFilter(func(row []value.Value) (bool, error) { return row[1].I%2 == 0, nil })
 				}
 				sc, err := tbl.NewScan(spec)
 				if err != nil {

@@ -294,11 +294,11 @@ func scanSignature(rows [][]value.Value, b *metrics.Breakdown) string {
 // semantics must not depend on worker interleaving.
 func TestPolicyMatrix(t *testing.T) {
 	path := genDirtyCSV(t, 3000)
-	filter := func(row []value.Value) (bool, error) {
+	filter := rowFilter(func(row []value.Value) (bool, error) {
 		// grp < 4, NULL-rejecting, over the Needed layout [id, score, grp].
 		v := row[2]
 		return v.K == value.KindInt && v.I < 4, nil
-	}
+	})
 	for _, pol := range []OnErrorPolicy{OnErrorNull, OnErrorSkip} {
 		for _, filtered := range []bool{false, true} {
 			t.Run(fmt.Sprintf("policy=%v/filter=%v", pol, filtered), func(t *testing.T) {

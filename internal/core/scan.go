@@ -22,20 +22,13 @@ type ScanSpec struct {
 	// formation).
 	FilterAttrs []int
 	// Filter is the pushed-down predicate over the output layout; nil keeps
-	// every row. Slots of attributes outside FilterAttrs are NULL when it
-	// runs. With Parallelism > 1 the predicate runs concurrently from
-	// several workers and must be safe for concurrent calls (pure functions
-	// over the row, the planner's compiled predicates, qualify).
-	Filter func(row []value.Value) (bool, error)
-	// NewBatchFilter, when non-nil alongside Filter, returns a vectorized
-	// (column-at-a-time) evaluator of the same predicate for one worker's
-	// exclusive use: unlike Filter, a VecEval carries per-batch scratch and
-	// is not safe for concurrent calls, so each chunk worker requests its
-	// own instance. The factory itself runs concurrently (workers are
-	// constructed on their own goroutines) and must be safe for that. Its SelectTrue must keep exactly the rows Filter would
-	// keep. Slots of attributes outside FilterAttrs hold unspecified values
-	// when it runs (the predicate must not read them).
-	NewBatchFilter func() *expr.VecEval
+	// every row. Slots of attributes outside FilterAttrs hold unspecified
+	// values when it runs, so it must read only FilterAttrs slots. Each
+	// chunk worker compiles its own expr.VecEval of it (an evaluator
+	// carries per-batch scratch), so with Parallelism > 1 the node's Eval
+	// runs concurrently from several workers and must be safe for that
+	// (the planner's compiled predicates are pure).
+	Filter expr.Node
 	// B receives the execution breakdown. Must be non-nil.
 	B *metrics.Breakdown
 	// Ctx, when non-nil, cancels the scan: NextBatch/DrainAgg return

@@ -219,9 +219,9 @@ func TestShardedScanEquivalence(t *testing.T) {
 func TestShardedScanFiltered(t *testing.T) {
 	single, shards, _ := genShardFiles(t, 421, []int{100, 57, 23, 241})
 	needed := []int{0, 2, 3}
-	pred := func(row []value.Value) (bool, error) {
+	pred := rowFilter(func(row []value.Value) (bool, error) {
 		return row[0].I%3 == 0, nil // id % 3 == 0 over the Needed layout
-	}
+	})
 	for _, par := range []int{1, 8} {
 		opts := parOptions(par)
 		sTbl := newTable(t, single, opts)

@@ -35,12 +35,12 @@ func TestWindowBound(t *testing.T) {
 					FilterAttrs: []int{0},
 					// Only chunk 0 is slow: every other chunk finishes while
 					// the commit still waits for it.
-					Filter: func(row []value.Value) (bool, error) {
+					Filter: rowFilter(func(row []value.Value) (bool, error) {
 						if row[0].I < chunkRows {
 							time.Sleep(2 * time.Millisecond)
 						}
 						return true, nil
-					},
+					}),
 					B: &b,
 				})
 				if err != nil {

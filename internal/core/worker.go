@@ -134,12 +134,12 @@ type chunkWorker struct {
 	spanLo    []int32
 	spanHi    []int32
 	rangeBuf  []byte
-	rowBuf    []value.Value // filter / aggregation fold row scratch
+	rowBuf    []value.Value // aggregation fold row scratch
 
-	// batchFilter is this worker's private vectorized predicate (from
-	// spec.NewBatchFilter); identSel is the identity selection it narrows.
-	batchFilter *expr.VecEval
-	identSel    []int32
+	// filter is this worker's private evaluator of spec.Filter; identSel
+	// is the identity selection it narrows.
+	filter   *expr.VecEval
+	identSel []int32
 
 	// Malformed-input scratch, reset per chunk: badRows marks rows with at
 	// least one event (dedup for counting; the drop set under
@@ -147,7 +147,7 @@ type chunkWorker struct {
 	badRows   []bool
 	nbad      int
 	chunkErrs int64
-	skipSel   []int32 // base selection excluding bad rows (vectorized skip path)
+	skipSel   []int32 // base selection excluding bad rows (on_error=skip)
 
 	// Partial-aggregation scratch (spec.Agg != nil), reused across chunks.
 	aggMap     map[string]*PartialGroup // cleared per chunk
@@ -214,8 +214,8 @@ func newChunkWorker(t *Segment, opts Options, spec ScanSpec, reader *rawfile.Rea
 			}
 		}
 	}
-	if spec.NewBatchFilter != nil {
-		w.batchFilter = spec.NewBatchFilter()
+	if spec.Filter != nil {
+		w.filter, _ = expr.CompileVec(spec.Filter)
 	}
 	return w
 }
@@ -990,67 +990,34 @@ func (w *chunkWorker) runFilter(nrows int, out *chunkOut) error {
 		// sequential and parallel scans, whose fresh outputs hit this path).
 		sel = make([]int32, 0, nrows)
 	}
-	// Under on_error=skip, rows already marked bad (ragged rows, malformed
-	// filter attributes) are excluded before the predicate runs, in both
-	// the row and vectorized paths, so the two agree on every input.
-	skip := w.opts.OnError == OnErrorSkip && w.nbad > 0
 	sw := metrics.NewStopwatch(w.b)
 	defer sw.Stop(metrics.Processing)
-	if w.spec.Filter == nil {
+	for len(w.identSel) < nrows {
+		w.identSel = append(w.identSel, int32(len(w.identSel)))
+	}
+	base := w.identSel[:nrows]
+	// Under on_error=skip, rows already marked bad (ragged rows, malformed
+	// filter attributes) are excluded before the predicate runs.
+	if w.opts.OnError == OnErrorSkip && w.nbad > 0 {
+		w.skipSel = w.skipSel[:0]
 		for r := 0; r < nrows; r++ {
-			if skip && w.badRows[r] {
-				continue
+			if !w.badRows[r] {
+				w.skipSel = append(w.skipSel, int32(r))
 			}
-			sel = append(sel, int32(r))
 		}
-		out.sel = sel
+		base = w.skipSel
+	}
+	if w.filter == nil {
+		out.sel = append(sel, base...)
 		return nil
 	}
-	if w.batchFilter != nil {
-		// Vectorized path: narrow the identity selection column-at-a-time,
-		// never assembling a scratch row. Columns outside FilterAttrs hold
-		// unspecified values, which the predicate does not read.
-		for len(w.identSel) < nrows {
-			w.identSel = append(w.identSel, int32(len(w.identSel)))
-		}
-		base := w.identSel[:nrows]
-		if skip {
-			w.skipSel = w.skipSel[:0]
-			for r := 0; r < nrows; r++ {
-				if !w.badRows[r] {
-					w.skipSel = append(w.skipSel, int32(r))
-				}
-			}
-			base = w.skipSel
-		}
-		before := w.batchFilter.VecRows()
-		sel, err := w.batchFilter.SelectTrue(out.cols, base, sel)
-		out.sel = sel
-		w.b.VecRows += w.batchFilter.VecRows() - before
-		return err
-	}
-	for r := 0; r < nrows; r++ {
-		if skip && w.badRows[r] {
-			continue
-		}
-		for i := range out.cols {
-			if w.filterIdx[i] {
-				w.rowBuf[i] = out.cols[i][r]
-			} else {
-				w.rowBuf[i] = value.Null()
-			}
-		}
-		keep, err := w.spec.Filter(w.rowBuf)
-		if err != nil {
-			out.sel = sel
-			return err
-		}
-		if keep {
-			sel = append(sel, int32(r))
-		}
-	}
+	// Columns outside FilterAttrs hold unspecified values, which the
+	// predicate does not read.
+	before := w.filter.VecRows()
+	sel, err := w.filter.SelectTrue(out.cols, base, sel)
 	out.sel = sel
-	return nil
+	w.b.VecRows += w.filter.VecRows() - before
+	return err
 }
 
 // finishChunk records the chunk's row accounting on the worker breakdown

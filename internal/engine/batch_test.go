@@ -55,7 +55,7 @@ func TestRawScanBatched(t *testing.T) {
 }
 
 // TestFilterProjectBatched checks that Filter and Project over a raw scan
-// produce exactly what the row evaluator (vectorization off) produces.
+// produce exactly what the row evaluator (kernel-less nodes) produces.
 func TestFilterProjectBatched(t *testing.T) {
 	build := func(par int, vec bool) Operator {
 		tbl := batchRawTable(t, 300, par)
@@ -65,14 +65,11 @@ func TestFilterProjectBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 		pred := compileOver(t, "b < 3", 2) // second output column (c) < 3
-		f := NewFilter(scan, pred, &b)
-		f.SetVectorized(vec)
+		f := NewFilter(scan, rowOnlyIf(vec, pred), &b)
 		env := expr.NewEnv()
 		env.Add("", "a", value.KindInt)
 		env.Add("", "b", value.KindInt)
-		proj := NewProject(f, []expr.Node{expr.Slot(env, 1), expr.Slot(env, 0)}, &b)
-		proj.SetVectorized(vec)
-		return proj
+		return NewProject(f, []expr.Node{rowOnlyIf(vec, expr.Slot(env, 1)), rowOnlyIf(vec, expr.Slot(env, 0))}, &b)
 	}
 
 	want := drain(t, build(1, false))
@@ -97,8 +94,7 @@ func TestFilterProjectBatched(t *testing.T) {
 func TestBatchedFallback(t *testing.T) {
 	for _, vec := range []bool{true, false} {
 		in := rows(intRow(1, 10), intRow(2, 20), intRow(3, 30))
-		f := NewFilter(in, compileOver(t, "a >= 2", 2), &metrics.Breakdown{})
-		f.SetVectorized(vec)
+		f := NewFilter(in, rowOnlyIf(vec, compileOver(t, "a >= 2", 2)), &metrics.Breakdown{})
 		if f.Vectorized() != vec {
 			t.Fatalf("Vectorized()=%v, want %v", f.Vectorized(), vec)
 		}

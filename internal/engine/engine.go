@@ -292,93 +292,41 @@ func (o *IndexScan) NextBatch() (*core.Batch, bool, error) {
 func (o *IndexScan) Close() error { return nil }
 
 // Filter drops rows whose predicate is not TRUE by narrowing each input
-// batch's selection vector. When the predicate has a vector kernel
-// (expr.CompileVec) it evaluates column-at-a-time; otherwise it evaluates
-// the selected rows one at a time.
+// batch's selection vector. The predicate evaluates through one
+// expr.VecEval compiled at construction: column-at-a-time where it has a
+// vector kernel, row-at-a-time inside the evaluator where it has none.
 type Filter struct {
-	in       Operator
-	pred     expr.Node
-	vec      *expr.VecEval // non-nil once compiled; nil = row-at-a-time
-	vecOn    bool
-	vecTried bool
-	b        *metrics.Breakdown
+	in    Operator
+	vec   *expr.VecEval
+	vecOK bool // the predicate has a vector kernel
+	b     *metrics.Breakdown
 
 	batch  core.Batch
 	selBuf []int32
-	rowBuf []value.Value
 }
 
-// NewFilter wraps in with a predicate. The vector kernel compiles lazily,
-// on the first batch (or Vectorized probe), so DisableVectorized plans pay
-// nothing for it.
+// NewFilter wraps in with a predicate.
 func NewFilter(in Operator, pred expr.Node, b *metrics.Breakdown) *Filter {
-	return &Filter{in: in, pred: pred, b: b, vecOn: true}
-}
-
-// SetVectorized toggles column-at-a-time predicate evaluation. Results are
-// identical either way; the off position exists for differential testing
-// and A/B measurement.
-func (o *Filter) SetVectorized(on bool) {
-	o.vecOn = on
-	if !on {
-		o.vec = nil
-		o.vecTried = false
-	}
-}
-
-// ensureVec compiles the vector kernel once, when enabled.
-func (o *Filter) ensureVec() {
-	if !o.vecOn || o.vecTried {
-		return
-	}
-	o.vecTried = true
-	if ve, ok := expr.CompileVec(o.pred); ok {
-		o.vec = ve
-	}
+	vec, ok := expr.CompileVec(pred)
+	return &Filter{in: in, vec: vec, vecOK: ok, b: b}
 }
 
 // Vectorized reports whether the predicate evaluates column-at-a-time.
-func (o *Filter) Vectorized() bool {
-	o.ensureVec()
-	return o.vec != nil
-}
+func (o *Filter) Vectorized() bool { return o.vecOK }
 
-// NextBatch implements Operator.
+// NextBatch implements Operator. Only the rows the incoming selection
+// vector lists are tested; rows the child already excluded are not.
 func (o *Filter) NextBatch() (*core.Batch, bool, error) {
 	b, ok, err := o.in.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	o.ensureVec()
-	if o.vec != nil {
-		before := o.vec.VecRows()
-		o.selBuf, err = o.vec.SelectTrue(b.Cols, b.Sel, o.selBuf[:0])
-		if err != nil {
-			return nil, false, err
-		}
-		o.b.VecRows += o.vec.VecRows() - before
-		o.batch.Cols = b.Cols
-		o.batch.Sel = o.selBuf
-		return &o.batch, true, nil
+	before := o.vec.VecRows()
+	o.selBuf, err = o.vec.SelectTrue(b.Cols, b.Sel, o.selBuf[:0])
+	if err != nil {
+		return nil, false, err
 	}
-	if o.rowBuf == nil {
-		o.rowBuf = make([]value.Value, len(b.Cols))
-	}
-	// Row fallback: evaluate only the rows the incoming selection vector
-	// lists — rows the child already excluded must not be re-tested.
-	o.selBuf = o.selBuf[:0]
-	for _, r := range b.Sel {
-		for i, col := range b.Cols {
-			o.rowBuf[i] = col[r]
-		}
-		v, err := o.pred.Eval(o.rowBuf)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsTrue() {
-			o.selBuf = append(o.selBuf, r)
-		}
-	}
+	o.b.VecRows += o.vec.VecRows() - before
 	o.batch.Cols = b.Cols
 	o.batch.Sel = o.selBuf
 	return &o.batch, true, nil
@@ -388,66 +336,36 @@ func (o *Filter) NextBatch() (*core.Batch, bool, error) {
 func (o *Filter) Close() error { return o.in.Close() }
 
 // Project computes output expressions into dense columns with an identity
-// selection. Each expression with a vector kernel evaluates
-// column-at-a-time; expressions without one (e.g. scalar function calls)
-// fall back to row-at-a-time individually, so one uncovered expression
-// does not demote the whole projection.
+// selection. Each expression evaluates through its own expr.VecEval,
+// compiled at construction, so one expression without a vector kernel
+// runs row-at-a-time without demoting the rest of the projection.
 type Project struct {
-	in       Operator
-	exprs    []expr.Node
-	vecs     []*expr.VecEval // per expression; nil entry = row fallback
-	nVec     int
-	vecOn    bool
-	vecTried bool
-	b        *metrics.Breakdown
+	in   Operator
+	vecs []*expr.VecEval // one per expression
+	nVec int             // expressions with a vector kernel
+	b    *metrics.Breakdown
 
 	batch    core.Batch
 	cols     [][]value.Value
 	selIdent []int32
-	rowBuf   []value.Value
 }
 
-// NewProject wraps in with projection expressions. Vector kernels compile
-// lazily, on the first batch (or Vectorized probe), so DisableVectorized
-// plans pay nothing for them.
+// NewProject wraps in with projection expressions.
 func NewProject(in Operator, exprs []expr.Node, b *metrics.Breakdown) *Project {
-	return &Project{
-		in: in, exprs: exprs, b: b,
-		vecs:  make([]*expr.VecEval, len(exprs)),
-		vecOn: true,
-	}
-}
-
-// SetVectorized toggles column-at-a-time evaluation for the expressions
-// that support it. Results are identical either way.
-func (o *Project) SetVectorized(on bool) {
-	o.vecOn = on
-	if !on {
-		o.vecs = make([]*expr.VecEval, len(o.exprs))
-		o.nVec = 0
-		o.vecTried = false
-	}
-}
-
-// ensureVecs compiles the per-expression kernels once, when enabled.
-func (o *Project) ensureVecs() {
-	if !o.vecOn || o.vecTried {
-		return
-	}
-	o.vecTried = true
-	for i, e := range o.exprs {
-		if ve, ok := expr.CompileVec(e); ok {
-			o.vecs[i] = ve
+	o := &Project{in: in, vecs: make([]*expr.VecEval, len(exprs)), b: b}
+	for i, e := range exprs {
+		var ok bool
+		if o.vecs[i], ok = expr.CompileVec(e); ok {
 			o.nVec++
 		}
 	}
+	return o
 }
 
 // Vectorized reports whether every projection expression evaluates
 // column-at-a-time.
 func (o *Project) Vectorized() bool {
-	o.ensureVecs()
-	return len(o.exprs) > 0 && o.nVec == len(o.exprs)
+	return len(o.vecs) > 0 && o.nVec == len(o.vecs)
 }
 
 // NextBatch implements Operator.
@@ -458,46 +376,18 @@ func (o *Project) NextBatch() (*core.Batch, bool, error) {
 	}
 	n := len(b.Sel)
 	if o.cols == nil {
-		o.cols = make([][]value.Value, len(o.exprs))
+		o.cols = make([][]value.Value, len(o.vecs))
 	}
-	for i := range o.cols {
+	for i, ve := range o.vecs {
 		if cap(o.cols[i]) < n {
 			o.cols[i] = make([]value.Value, n)
 		}
 		o.cols[i] = o.cols[i][:n]
-	}
-	// Column-at-a-time expressions first, whole columns per call.
-	o.ensureVecs()
-	for i, ve := range o.vecs {
-		if ve == nil {
-			continue
-		}
 		before := ve.VecRows()
 		if err := ve.EvalInto(b.Cols, b.Sel, o.cols[i]); err != nil {
 			return nil, false, err
 		}
 		o.b.VecRows += ve.VecRows() - before
-	}
-	// Row fallback for the remaining expressions only.
-	if o.nVec < len(o.exprs) {
-		if o.rowBuf == nil {
-			o.rowBuf = make([]value.Value, len(b.Cols))
-		}
-		for k, r := range b.Sel {
-			for i, col := range b.Cols {
-				o.rowBuf[i] = col[r]
-			}
-			for i, e := range o.exprs {
-				if o.vecs[i] != nil {
-					continue
-				}
-				v, err := e.Eval(o.rowBuf)
-				if err != nil {
-					return nil, false, err
-				}
-				o.cols[i][k] = v
-			}
-		}
 	}
 	o.selIdent = identity(o.selIdent, n)
 	o.batch.Cols = o.cols

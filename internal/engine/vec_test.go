@@ -42,9 +42,22 @@ func stubBatches() *batchStub {
 	}}
 }
 
+// rowOnly wraps a node in a type CompileVec has no kernel for, so an
+// operator evaluates it through the row fallback: the reference the
+// kernels are compared against.
+type rowOnly struct{ expr.Node }
+
+// rowOnlyIf wraps n in rowOnly unless vec is set.
+func rowOnlyIf(vec bool, n expr.Node) expr.Node {
+	if vec {
+		return n
+	}
+	return rowOnly{n}
+}
+
 // countingPred wraps a predicate and counts row-at-a-time Eval calls. It is
-// not a known node type, so CompileVec rejects it and Filter must use the
-// row fallback.
+// not a known node type, so CompileVec has no kernel for it and Filter
+// evaluates it through the row fallback.
 type countingPred struct {
 	inner expr.Node
 	n     *int
@@ -93,9 +106,7 @@ func TestFilterVecNarrowedSelection(t *testing.T) {
 	vecRows := drain(t, vf)
 
 	var rb metrics.Breakdown
-	rf := NewFilter(stubBatches(), pred, &rb)
-	rf.SetVectorized(false)
-	rowRows := drain(t, rf)
+	rowRows := drain(t, NewFilter(stubBatches(), rowOnly{pred}, &rb))
 
 	if len(vecRows) != len(rowRows) {
 		t.Fatalf("vec=%d rows, row=%d rows", len(vecRows), len(rowRows))
@@ -150,8 +161,11 @@ func TestProjectPartialVectorization(t *testing.T) {
 	run := func(vec bool) ([][]value.Value, *metrics.Breakdown) {
 		stub := &batchStub{batches: []*core.Batch{{Cols: mkCols(), Sel: []int32{0, 1, 2, 3}}}}
 		var b metrics.Breakdown
-		p := NewProject(stub, exprs, &b)
-		p.SetVectorized(vec)
+		in := make([]expr.Node, len(exprs))
+		for i, e := range exprs {
+			in[i] = rowOnlyIf(vec, e)
+		}
+		p := NewProject(stub, in, &b)
 		if vec && p.Vectorized() {
 			t.Fatal("the non-constant IN list should demote Vectorized() to false")
 		}
@@ -191,8 +205,7 @@ func TestFilterVecOverRawScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			pred := compileOver(t, "c < 2 AND a % 3 != 0", 3)
-			f := NewFilter(scan, pred, &b)
-			f.SetVectorized(vec)
+			f := NewFilter(scan, rowOnlyIf(vec, pred), &b)
 			if f.Vectorized() != vec {
 				t.Fatalf("Vectorized()=%v, want %v", f.Vectorized(), vec)
 			}

@@ -43,10 +43,7 @@ func FuzzVecEval(f *testing.F) {
 		if err != nil {
 			return // generator produced an expression the compiler rejects
 		}
-		ve, ok := CompileVec(n)
-		if !ok {
-			return // no vector kernel (e.g. negated text): row path only
-		}
+		ve, _ := CompileVec(n)
 
 		// Row-at-a-time reference, stopping at the first error like the
 		// batch operators do.

@@ -11,13 +11,17 @@
 // short-circuit semantics exactly — including which rows can raise runtime
 // errors such as division by zero.
 //
-// Coverage is per expression: CompileVec reports ok=false for any node
-// without a vector kernel (today: negation of non-numeric operands, IN
-// over non-constant lists, COALESCE over mixed argument kinds), and the
-// caller keeps the row path for that one expression. VecEval results are byte-identical
-// to row evaluation; a query errors under one evaluator exactly when it
-// errors under the other (possibly with a different row's error surfacing
-// first). The differential property suite and FuzzVecEval assert both.
+// VecEval is the one way operators evaluate an expression. Kernels cover
+// expressions per node; for an expression with a node outside them
+// (today: negation of non-numeric operands, IN over non-constant lists,
+// COALESCE over mixed argument kinds, and any Node defined outside this
+// package) CompileVec reports ok=false and returns an evaluator that runs
+// the row evaluator over every batch, exactly as a kernel batch does when
+// it meets a value outside the static type model. Kernel results are
+// byte-identical to row evaluation; a query errors under one evaluator
+// exactly when it errors under the other (possibly with a different row's
+// error surfacing first). The differential property suite and FuzzVecEval
+// assert both.
 package expr
 
 import (
@@ -30,9 +34,10 @@ import (
 )
 
 // errVecBail signals that a batch holds a value whose runtime kind differs
-// from the column's static kind, so the typed kernels cannot represent it.
-// VecEval falls back to row-at-a-time evaluation for the whole batch; the
-// error never escapes the package.
+// from the column's static kind, so the typed kernels cannot represent it,
+// or that the expression has no kernels. VecEval falls back to
+// row-at-a-time evaluation for the whole batch; the error never escapes
+// the package.
 var errVecBail = errors.New("expr: batch value outside the static type model")
 
 // Arithmetic runtime errors, shared by the row and vector evaluators so the
@@ -43,43 +48,52 @@ var (
 	errModZero = errors.New("expr: modulo by zero")
 )
 
-// VecEval is a compiled vectorized evaluator. It carries per-node scratch
+// VecEval is a compiled batch evaluator. It carries per-node scratch
 // vectors reused across batches and is therefore NOT safe for concurrent
 // use; callers that evaluate from several goroutines (the parallel scan's
 // chunk workers) must compile one VecEval each.
 type VecEval struct {
-	root    vecNode
-	row     Node // original row node, for the kind-mismatch fallback
+	root    vecNode // nil: no kernel, every batch takes the row fallback
+	row     Node    // original row node, for the row fallback
 	rowBuf  []value.Value
 	vecRows int64
 }
 
 // VecRows returns the cumulative number of row evaluations this evaluator
-// served through its typed kernels. Rows diverted to the kind-mismatch row
-// fallback are not counted, so callers charging metrics from deltas of
-// this counter report only genuinely column-at-a-time work.
+// served through its typed kernels. Rows diverted to the row fallback are
+// not counted, so callers charging metrics from deltas of this counter
+// report only genuinely column-at-a-time work.
 func (e *VecEval) VecRows() int64 { return e.vecRows }
 
-// CompileVec translates a compiled row expression into a vectorized
-// evaluator. ok=false means some node has no vector kernel and the caller
-// should keep row-at-a-time evaluation for this expression.
+// CompileVec translates a compiled row expression into a batch evaluator.
+// It always returns a working evaluator; ok=false means some node has no
+// vector kernel, and the evaluator then runs the row evaluator over every
+// batch.
 func CompileVec(n Node) (*VecEval, bool) {
 	vn, ok := compileVecNode(n)
 	if !ok {
-		return nil, false
+		return &VecEval{row: n}, false
 	}
 	return &VecEval{root: vn, row: n}, true
 }
 
 // Kind returns the statically inferred result type.
-func (e *VecEval) Kind() value.Kind { return e.root.kind() }
+func (e *VecEval) Kind() value.Kind { return e.row.Kind() }
+
+// eval runs the kernels, or reports errVecBail when there are none.
+func (e *VecEval) eval(cols [][]value.Value, sel []int32) (*vec, error) {
+	if e.root == nil {
+		return nil, errVecBail
+	}
+	return e.root.eval(cols, sel)
+}
 
 // SelectTrue evaluates the expression as a predicate over rows sel of cols
 // (cols indexed by environment slot, sel listing live row indexes) and
 // appends to dst the rows for which it is TRUE — the same rows a
 // row-at-a-time loop keeping v.IsTrue() would. Returns the extended dst.
 func (e *VecEval) SelectTrue(cols [][]value.Value, sel []int32, dst []int32) ([]int32, error) {
-	v, err := e.root.eval(cols, sel)
+	v, err := e.eval(cols, sel)
 	if err == errVecBail {
 		return e.selectTrueRows(cols, sel, dst)
 	}
@@ -102,7 +116,7 @@ func (e *VecEval) SelectTrue(cols [][]value.Value, sel []int32, dst []int32) ([]
 // results densely into out (out[k] is the value for row sel[k]). len(out)
 // must be len(sel).
 func (e *VecEval) EvalInto(cols [][]value.Value, sel []int32, out []value.Value) error {
-	v, err := e.root.eval(cols, sel)
+	v, err := e.eval(cols, sel)
 	if err == errVecBail {
 		return e.evalRows(cols, sel, out)
 	}
@@ -116,8 +130,8 @@ func (e *VecEval) EvalInto(cols [][]value.Value, sel []int32, out []value.Value)
 	return nil
 }
 
-// selectTrueRows is the kind-mismatch fallback: evaluate the original row
-// node per selected row.
+// selectTrueRows is the row fallback: evaluate the original row node per
+// selected row.
 func (e *VecEval) selectTrueRows(cols [][]value.Value, sel []int32, dst []int32) ([]int32, error) {
 	for _, r := range sel {
 		v, err := e.row.Eval(e.fillRow(cols, r))

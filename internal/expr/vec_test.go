@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -185,10 +186,13 @@ func TestVecShortCircuitNarrowing(t *testing.T) {
 	}
 }
 
-// TestCompileVecFallback: expressions without a vector kernel must report
-// ok=false so callers keep the row path for that one expression.
+// TestCompileVecFallback: expressions without a vector kernel report
+// ok=false, and the evaluator that comes back runs the row evaluator, row
+// for row (errors included), without charging VecRows.
 func TestCompileVecFallback(t *testing.T) {
 	env := testEnv()
+	rows := vecTestRows()
+	cols := colsOf(rows)
 	for _, cond := range []string{
 		"-s = 'x'",           // negation of text errors at run time
 		"a IN (1, b)",        // non-constant IN list item evaluates lazily
@@ -196,8 +200,36 @@ func TestCompileVecFallback(t *testing.T) {
 		"COALESCE(a, f) = 1", // int/float mix likewise
 	} {
 		n := compileWhere(t, cond, env)
-		if _, ok := CompileVec(n); ok {
+		ve, ok := CompileVec(n)
+		if ok {
 			t.Errorf("%q unexpectedly vectorized", cond)
+			continue
+		}
+		if ve.Kind() != n.Kind() {
+			t.Errorf("%q: kind %v, row kind %v", cond, ve.Kind(), n.Kind())
+		}
+		for r := range rows {
+			want, wantErr := n.Eval(rows[r])
+			sel := []int32{int32(r)}
+			out := make([]value.Value, 1)
+			err := ve.EvalInto(cols, sel, out)
+			got, selErr := ve.SelectTrue(cols, sel, nil)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(selErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%q row %d: row error %v, EvalInto %v, SelectTrue %v", cond, r, wantErr, err, selErr)
+				continue
+			}
+			if wantErr != nil {
+				continue
+			}
+			if out[0] != want {
+				t.Errorf("%q row %d: EvalInto=%v row=%v", cond, r, out[0], want)
+			}
+			if (len(got) == 1) != want.IsTrue() {
+				t.Errorf("%q row %d: SelectTrue=%v, row value %v", cond, r, got, want)
+			}
+		}
+		if ve.VecRows() != 0 {
+			t.Errorf("%q: row-mode evaluator charged VecRows=%d", cond, ve.VecRows())
 		}
 	}
 }

@@ -22,7 +22,7 @@ func (pb *builder) finish(root engine.Operator, etree *enode, curEnv *expr.Env, 
 			closeQuiet(root)
 			return nil, err
 		}
-		projNodes = append(projNodes, n)
+		projNodes = append(projNodes, pb.evalNode(n))
 		outCols = append(outCols, OutputCol{Name: names[i], Kind: n.Kind()})
 	}
 
@@ -57,7 +57,7 @@ func (pb *builder) finish(root engine.Operator, etree *enode, curEnv *expr.Env, 
 			return nil, err
 		}
 		sorts = append(sorts, sortPlan{slot: len(projNodes) + len(hidden), desc: o.Desc})
-		hidden = append(hidden, n)
+		hidden = append(hidden, pb.evalNode(n))
 	}
 
 	if sel.Distinct && len(hidden) > 0 {
@@ -75,7 +75,6 @@ func (pb *builder) finish(root engine.Operator, etree *enode, curEnv *expr.Env, 
 	}
 
 	op := engine.NewProject(root, append(append([]expr.Node{}, projNodes...), hidden...), pb.b)
-	op.SetVectorized(!pb.noVec)
 	var cur engine.Operator = op
 	etree = wrap("Project("+strings.Join(names, ", ")+")"+vecMark(op), etree)
 
@@ -101,11 +100,9 @@ func (pb *builder) finish(root engine.Operator, etree *enode, curEnv *expr.Env, 
 		// Cut the hidden columns back off.
 		cut := make([]expr.Node, len(projNodes))
 		for i := range projNodes {
-			cut[i] = expr.Slot(extEnv, i)
+			cut[i] = pb.evalNode(expr.Slot(extEnv, i))
 		}
-		cutOp := engine.NewProject(cur, cut, pb.b)
-		cutOp.SetVectorized(!pb.noVec)
-		cur = cutOp
+		cur = engine.NewProject(cur, cut, pb.b)
 	}
 	if sel.Limit >= 0 || sel.Offset > 0 {
 		cur = engine.NewLimit(cur, sel.Offset, sel.Limit)

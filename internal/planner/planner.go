@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"nodb/internal/core"
 	"nodb/internal/engine"
@@ -69,7 +68,7 @@ type builder struct {
 	cat    *schema.Catalog
 	b      *metrics.Breakdown
 	ctx    context.Context // nil = not cancellable; wired into leaf scans
-	noVec  bool            // force row-at-a-time expression evaluation
+	noVec  bool            // hide vector kernels (Prepared.DisableVec)
 	tables []*tableSrc
 	env    *expr.Env // combined env over all tables' referenced columns
 
@@ -77,6 +76,20 @@ type builder struct {
 	aggKeys   []sql.Expr
 	aggCalls  []sql.FuncCall
 	aggPushed bool // aggregation pushed into the raw scan's chunk workers
+}
+
+// rowOnly hides a node's vector kernels: CompileVec has none for a Node
+// type defined outside expr, so operators evaluate it row-at-a-time.
+type rowOnly struct{ expr.Node }
+
+// evalNode is n as the plan's Filter, Project and pushed-down scan filter
+// evaluate it: behind rowOnly when the statement forces row-at-a-time
+// evaluation, the row evaluator differential tests compare against.
+func (pb *builder) evalNode(n expr.Node) expr.Node {
+	if pb.noVec {
+		return rowOnly{n}
+	}
+	return n
 }
 
 func (pb *builder) build(sel *sql.Select) (*Plan, error) {
@@ -147,8 +160,7 @@ func (pb *builder) buildResolved(sel *sql.Select, items []sql.SelectItem, names 
 			closeQuiet(root)
 			return nil, err
 		}
-		f := engine.NewFilter(root, pred, pb.b)
-		f.SetVectorized(!pb.noVec)
+		f := engine.NewFilter(root, pb.evalNode(pred), pb.b)
 		root = f
 		etree = wrap("Filter("+andAll(residual).String()+")"+vecMark(f), etree)
 	}
@@ -176,8 +188,7 @@ func (pb *builder) buildResolved(sel *sql.Select, items []sql.SelectItem, names 
 				closeQuiet(root)
 				return nil, err
 			}
-			f := engine.NewFilter(root, pred, pb.b)
-			f.SetVectorized(!pb.noVec)
+			f := engine.NewFilter(root, pb.evalNode(pred), pb.b)
 			root = f
 			etree = wrap("Filter(HAVING "+sel.Having.String()+")"+vecMark(f), etree)
 		}
@@ -549,31 +560,7 @@ func (pb *builder) buildRawScan(ti int, h *core.Table, conjuncts []sql.Expr) (en
 			spec.FilterAttrs = append(spec.FilterAttrs, a)
 		}
 		sort.Ints(spec.FilterAttrs)
-		spec.Filter = func(row []value.Value) (bool, error) {
-			v, err := pred.Eval(row)
-			if err != nil {
-				return false, err
-			}
-			return v.IsTrue(), nil
-		}
-		// Vectorized variant of the same predicate: each chunk worker gets
-		// a private evaluator (they carry scratch and run concurrently, so
-		// the factory is invoked from several goroutines). The probe
-		// compile is handed to whichever worker asks first rather than
-		// thrown away.
-		if !pb.noVec {
-			if probe, ok := expr.CompileVec(pred); ok {
-				var first atomic.Pointer[expr.VecEval]
-				first.Store(probe)
-				spec.NewBatchFilter = func() *expr.VecEval {
-					if ve := first.Swap(nil); ve != nil {
-						return ve
-					}
-					ve, _ := expr.CompileVec(pred)
-					return ve
-				}
-			}
-		}
+		spec.Filter = pb.evalNode(pred)
 	}
 	op, err := engine.NewRawScan(h, spec)
 	if err != nil {
@@ -611,7 +598,7 @@ func (pb *builder) buildRawScan(ti int, h *core.Table, conjuncts []sql.Expr) (en
 	}
 	if len(conjuncts) > 0 {
 		label += " filter=" + andAll(conjuncts).String()
-		if spec.NewBatchFilter != nil {
+		if _, ok := expr.CompileVec(spec.Filter); ok {
 			label += " vec"
 		}
 	}
@@ -674,8 +661,7 @@ func (pb *builder) buildLoadedScan(ti int, h *storage.Table, conjuncts []sql.Exp
 			if err != nil {
 				return nil, nil, err
 			}
-			f := engine.NewFilter(op2, pred, pb.b)
-			f.SetVectorized(!pb.noVec)
+			f := engine.NewFilter(op2, pb.evalNode(pred), pb.b)
 			op2 = f
 			node = wrap("Filter("+andAll(rest).String()+")"+vecMark(f), node)
 		}
@@ -691,8 +677,7 @@ func (pb *builder) buildLoadedScan(ti int, h *storage.Table, conjuncts []sql.Exp
 		if err != nil {
 			return nil, nil, err
 		}
-		f := engine.NewFilter(op, pred, pb.b)
-		f.SetVectorized(!pb.noVec)
+		f := engine.NewFilter(op, pb.evalNode(pred), pb.b)
 		op = f
 		node = wrap("Filter("+andAll(conjuncts).String()+")"+vecMark(f), node)
 	}

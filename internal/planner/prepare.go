@@ -26,7 +26,7 @@ type Prepared struct {
 	entries []*schema.Table
 	items   []sql.SelectItem // star-expanded select list
 	names   []string         // output column names (pre-bind, pre-rewrite)
-	noVec   bool             // force row-at-a-time expression evaluation
+	noVec   bool             // hide vector kernels (DisableVec)
 }
 
 // Prepare resolves and validates a parsed statement against the catalog,
@@ -52,10 +52,10 @@ func Prepare(sel *sql.Select, cat *schema.Catalog) (*Prepared, error) {
 	return p, nil
 }
 
-// DisableVec forces row-at-a-time expression evaluation for every plan
-// built from this statement. Results are identical with or without
-// vectorized evaluation; the switch exists for differential testing and
-// A/B measurement. Call before the first Build.
+// DisableVec makes every plan built from this statement hide the vector
+// kernels of its filter and projection expressions, so they evaluate
+// through the row evaluator: the reference the SQL-level differential
+// tests compare the kernels against. Call before the first Build.
 func (p *Prepared) DisableVec() { p.noVec = true }
 
 // NumParams returns the number of `?` placeholders the statement carries.

@@ -72,13 +72,6 @@ type Config struct {
 	// default). Results are byte-identical at any setting; Parallelism still
 	// sizes how many chunks a single scan keeps in flight.
 	MaxWorkers int
-	// DisableVectorized forces row-at-a-time expression evaluation
-	// everywhere, turning off the column-at-a-time (vectorized) kernels
-	// that pushed-down filters and batch projections normally use. Results
-	// and row order are identical either way (the differential property
-	// suite asserts byte-identity); the switch exists for A/B measurement
-	// and differential testing.
-	DisableVectorized bool
 }
 
 // DB is a catalog of registered tables plus the query entry point. Safe for
@@ -89,7 +82,7 @@ type DB struct {
 	dataDir     string
 	ownsDir     bool
 	parallelism int              // default scan parallelism for raw tables
-	noVec       bool             // force row-at-a-time expression evaluation
+	noVec       bool             // hide vector kernels; set only by tests, for a row-evaluator reference
 	sched       *sched.Pool      // DB-level chunk scheduler for raw scans
 	loaded      []*storage.Table // for Close
 
@@ -148,7 +141,6 @@ func Open(cfg Config) (*DB, error) {
 	return &DB{
 		cat: schema.NewCatalog(), dataDir: dir, ownsDir: owns,
 		parallelism: cfg.Parallelism,
-		noVec:       cfg.DisableVectorized,
 		sched:       pool,
 		planCache:   make(map[string]*cachedPrep),
 		pins:        make(map[any]int),

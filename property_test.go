@@ -201,7 +201,7 @@ func countersOf(s nodb.QueryStats) counterStats {
 // TestVectorizedRowDifferential is the vectorized-vs-row equivalence
 // property: every corpus query must return byte-identical rows (including
 // group and sort order) and identical scan counters with vectorized
-// evaluation forced on and forced off (Config.DisableVectorized), at
+// evaluation forced on and forced off (nodb.OpenRowEval), at
 // Parallelism 1 and 8, cold and warm.
 func TestVectorizedRowDifferential(t *testing.T) {
 	if testing.Short() {
@@ -224,7 +224,7 @@ func TestVectorizedRowDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer vecDB.Close()
-			rowDB, err := nodb.Open(nodb.Config{Parallelism: par, DisableVectorized: true})
+			rowDB, err := nodb.OpenRowEval(nodb.Config{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func TestVectorizedRowDifferential(t *testing.T) {
 						t.Fatalf("pass %d %q: counters differ:\nvec: %+v\nrow: %+v", pass, sql, vc, rc)
 					}
 					if rres.Stats.VecRows != 0 {
-						t.Fatalf("pass %d %q: DisableVectorized leaked VecRows=%d", pass, sql, rres.Stats.VecRows)
+						t.Fatalf("pass %d %q: row evaluator leaked VecRows=%d", pass, sql, rres.Stats.VecRows)
 					}
 					sawVec = sawVec || vres.Stats.VecRows > 0
 				}

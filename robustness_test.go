@@ -83,7 +83,11 @@ func TestOnErrorPolicySQLMatrix(t *testing.T) {
 			want := map[string]sig{} // query+table -> reference signature
 			for _, par := range []int{1, 8} {
 				for _, vec := range []bool{true, false} {
-					db, err := nodb.Open(nodb.Config{Parallelism: par, DisableVectorized: !vec})
+					open := nodb.Open
+					if !vec {
+						open = nodb.OpenRowEval
+					}
+					db, err := open(nodb.Config{Parallelism: par})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -381,7 +385,7 @@ func TestVectorizedRowDifferentialMalformed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowDB, err := nodb.Open(nodb.Config{Parallelism: par, DisableVectorized: true})
+			rowDB, err := nodb.OpenRowEval(nodb.Config{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
