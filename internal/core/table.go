@@ -60,8 +60,8 @@ type Options struct {
 	// OnError selects what a scan does with malformed input (a field that
 	// does not convert to its column type, or a row with too few fields for
 	// the attributes the query touches). The zero value is OnErrorNull.
-	// Enforced identically in the row and vectorized paths at any
-	// Parallelism.
+	// Enforced identically by the vector kernels and the row fallback at
+	// any Parallelism.
 	OnError OnErrorPolicy
 	// MaxErrors, when > 0, fails the scan with faults.ErrTooManyErrors once
 	// more than MaxErrors malformed-input events accumulated (in chunk

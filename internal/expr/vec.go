@@ -77,8 +77,14 @@ func CompileVec(n Node) (*VecEval, bool) {
 	return &VecEval{root: vn, row: n}, true
 }
 
-// Kind returns the statically inferred result type.
-func (e *VecEval) Kind() value.Kind { return e.row.Kind() }
+// Kind returns the statically inferred result type: the kernels' when
+// there are any, else the row node's.
+func (e *VecEval) Kind() value.Kind {
+	if e.root == nil {
+		return e.row.Kind()
+	}
+	return e.root.kind()
+}
 
 // eval runs the kernels, or reports errVecBail when there are none.
 func (e *VecEval) eval(cols [][]value.Value, sel []int32) (*vec, error) {
