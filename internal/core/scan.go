@@ -88,12 +88,13 @@ type Scan struct {
 	batch    Batch
 	countSel []int32 // identity selection for synthetic count batches
 
-	// Partial-aggregation merge state (spec.Agg != nil): groups keyed by
-	// their canonical grouping key, kept in first-seen commit order. Workers
-	// only build per-chunk partials; this table is touched solely at commit
-	// on the consumer goroutine, so partials fold across segment boundaries
-	// exactly as they fold across chunks — bitwise-identical float results.
-	aggTable  map[string]*PartialGroup
+	// Partial-aggregation merge state (spec.Agg != nil): the scan's group
+	// keys, and aggGroups indexed by their dictionary id, which is their
+	// first-seen commit order. Workers only build per-chunk partials; these
+	// are touched solely at commit on the consumer goroutine, so partials
+	// fold across segment boundaries exactly as they fold across chunks —
+	// bitwise-identical float results.
+	aggDict   *groupDict
 	aggGroups []*PartialGroup
 }
 
@@ -322,12 +323,11 @@ func (s *Scan) commit(o *chunkOut) error {
 	run.rowsDone += int64(o.nrows)
 	if s.spec.Agg != nil {
 		// Aggregation pushdown: the chunk's partial groups merge here, in
-		// file order, and its row batch is never served. First-seen groups
-		// are retained by pointer in the merge table, so the output's batch
-		// buffers recycle immediately.
-		s.mergePartials(o)
+		// file order, and its row batch is never served. The merge keeps
+		// nothing of the output, so it recycles, partial states included.
+		err := s.mergePartials(o)
 		s.st.recycle(o)
-		return nil
+		return err
 	}
 	s.cur = o
 	return nil

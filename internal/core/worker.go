@@ -78,9 +78,10 @@ type chunkOut struct {
 	dropped   int64 // rows excluded by on_error=skip
 	dirty     bool  // chunk had events: adaptive-structure learning suppressed
 
-	// groups holds the chunk's partial aggregation states when the scan has
-	// an AggPushdown installed; the batch (cols/sel) is then not served to
-	// the consumer, commit merges the groups instead.
+	// groups holds the chunk's partial aggregation states, in first-seen
+	// order, when the scan has an AggPushdown installed; the batch (cols/sel)
+	// is then not served to the consumer, commit merges the groups instead.
+	// Groups past len are a recycled output's, reused by nextGroup.
 	groups []*PartialGroup
 }
 
@@ -149,10 +150,14 @@ type chunkWorker struct {
 	chunkErrs int64
 	skipSel   []int32 // base selection excluding bad rows (on_error=skip)
 
-	// Partial-aggregation scratch (spec.Agg != nil), reused across chunks.
-	aggMap     map[string]*PartialGroup // cleared per chunk
+	// Partial-aggregation scratch (spec.Agg != nil), kept for the scan:
+	// the worker's key dictionary, and per dictionary id the index of its
+	// partial group in the chunk's output (-1: none yet), reset through the
+	// ids the chunk touched.
+	aggDict    *groupDict
+	aggSlot    []int32
+	aggTouched []int32
 	aggKeyVals []value.Value
-	aggKeyBuf  []byte
 }
 
 // tokenStep is one entry of the per-chunk plan: the row start (from the

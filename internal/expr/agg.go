@@ -22,13 +22,17 @@ type Aggregator interface {
 	// Merge folds another aggregator's accumulated state into the receiver.
 	// The argument must have the same (name, star, distinct) signature and,
 	// for DISTINCT states, come from NewMergeableAggregator; it is consumed
-	// and must not be used afterwards. Merging partial states chunk by
-	// chunk, in chunk order, yields exactly the state of stepping the
-	// concatenated input — the contract the parallel scan's worker-side
-	// partial aggregation relies on.
+	// and must not be used afterwards until it is Reset. The receiver keeps
+	// no part of it, so the argument can be reset and reused. Merging
+	// partial states chunk by chunk, in chunk order, yields exactly the
+	// state of stepping the concatenated input — the contract the parallel
+	// scan's worker-side partial aggregation relies on.
 	Merge(other Aggregator)
 	// Result finalizes the aggregate for the group.
 	Result() value.Value
+	// Reset empties the state for reuse by another group, keeping its
+	// signature and any buffers it grew.
+	Reset()
 }
 
 // NewAggregator builds the state machine for an aggregate call. star marks
@@ -102,6 +106,7 @@ func (a *countAgg) Step(v value.Value) {
 }
 func (a *countAgg) Merge(o Aggregator)  { a.n += o.(*countAgg).n }
 func (a *countAgg) Result() value.Value { return value.Int(a.n) }
+func (a *countAgg) Reset()              { a.n = 0 }
 
 type sumAgg struct {
 	any   bool
@@ -157,6 +162,8 @@ func (a *sumAgg) Result() value.Value {
 	return value.Int(a.i)
 }
 
+func (a *sumAgg) Reset() { *a = sumAgg{} }
+
 type avgAgg struct {
 	n   int64
 	sum float64
@@ -182,6 +189,8 @@ func (a *avgAgg) Result() value.Value {
 	}
 	return value.Float(a.sum / float64(a.n))
 }
+
+func (a *avgAgg) Reset() { *a = avgAgg{} }
 
 type minMaxAgg struct {
 	min  bool
@@ -217,6 +226,8 @@ func (a *minMaxAgg) Result() value.Value {
 	}
 	return a.best
 }
+
+func (a *minMaxAgg) Reset() { a.any, a.best = false, value.Value{} }
 
 // distinctAgg dedupes its input on value.Distinct, the identity the
 // statistics' distinct count shares.
@@ -262,3 +273,10 @@ func (a *distinctAgg) Merge(o Aggregator) {
 }
 
 func (a *distinctAgg) Result() value.Value { return a.inner.Result() }
+
+func (a *distinctAgg) Reset() {
+	clear(a.seen)
+	clear(a.order) // drop the replayed values' text
+	a.order = a.order[:0]
+	a.inner.Reset()
+}

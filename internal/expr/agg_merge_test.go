@@ -189,3 +189,38 @@ func TestDistinctMergeUnion(t *testing.T) {
 		t.Errorf("merged SUM(DISTINCT)=%v, want %v", got, want)
 	}
 }
+
+// TestResetMatchesFresh checks the reuse contract of recycled partial
+// states: a state stepped, reset and stepped again ends exactly where a
+// fresh state stepped once ends, and merges into another state the same.
+func TestResetMatchesFresh(t *testing.T) {
+	first := []value.Value{value.Int(5), value.Float(-2.5), value.Int(5)}
+	second := []value.Value{value.Int(3), value.Null(), value.Int(3), value.Int(8)}
+	cases := []struct {
+		name     string
+		star     bool
+		distinct bool
+	}{
+		{"COUNT", true, false}, {"COUNT", false, false}, {"COUNT", false, true},
+		{"SUM", false, false}, {"SUM", false, true},
+		{"AVG", false, false}, {"MIN", false, false}, {"MAX", false, true},
+	}
+	for _, c := range cases {
+		reused := stepAll(t, c.name, c.star, c.distinct, first...)
+		reused.Reset()
+		for _, v := range second {
+			reused.Step(v)
+		}
+		fresh := stepAll(t, c.name, c.star, c.distinct, second...)
+		if got, want := reused.Result(), fresh.Result(); !value.Equal(got, want) || got.K != want.K {
+			t.Errorf("%s(star=%v distinct=%v): reset state=%v fresh=%v", c.name, c.star, c.distinct, got, want)
+		}
+		into := stepAll(t, c.name, c.star, c.distinct, value.Int(8))
+		into.Merge(reused)
+		ref := stepAll(t, c.name, c.star, c.distinct, value.Int(8))
+		ref.Merge(fresh)
+		if got, want := into.Result(), ref.Result(); !value.Equal(got, want) || got.K != want.K {
+			t.Errorf("%s(star=%v distinct=%v): merging a reset state=%v, a fresh one=%v", c.name, c.star, c.distinct, got, want)
+		}
+	}
+}

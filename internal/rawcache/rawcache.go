@@ -4,13 +4,14 @@
 //
 // The cache follows the positional map's chunk format: the unit is a
 // Fragment — one attribute's values for one row-chunk. Fragments are typed
-// slabs ([]int64, []float64, or a byte arena for text) rather than boxed
+// slabs ([]int64, []float64, or one string arena for text) rather than boxed
 // values, keeping GC pressure O(#fragments). Eviction is LRU under a byte
 // budget, the paper's knob for "storage space devoted to caching".
 package rawcache
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +32,8 @@ type Fragment struct {
 
 	ints   []int64   // int, bool, date
 	floats []float64 // float
-	offs   []uint32  // text: len Rows+1, offsets into blob
-	blob   []byte    // text arena
+	offs   []uint32  // text: len Rows+1, offsets into text
+	text   string    // text arena; a row's value is a substring of it
 	nulls  []bool    // nil when no nulls
 
 	key   Key
@@ -40,7 +41,8 @@ type Fragment struct {
 	elem  *list.Element
 }
 
-// Value returns row r's value.
+// Value returns row r's value. A TEXT value shares the fragment's arena, so
+// reading one allocates nothing.
 func (f *Fragment) Value(r int) value.Value {
 	if f.nulls != nil && f.nulls[r] {
 		return value.Null()
@@ -49,7 +51,7 @@ func (f *Fragment) Value(r int) value.Value {
 	case value.KindFloat:
 		return value.Float(f.floats[r])
 	case value.KindText:
-		return value.Text(string(f.blob[f.offs[r]:f.offs[r+1]]))
+		return value.Text(f.text[f.offs[r]:f.offs[r+1]])
 	case value.KindBool:
 		return value.Value{K: value.KindBool, I: f.ints[r]}
 	case value.KindDate:
@@ -62,9 +64,12 @@ func (f *Fragment) Value(r int) value.Value {
 // SizeBytes returns the fragment's budget footprint.
 func (f *Fragment) SizeBytes() int64 { return f.bytes }
 
-// Builder accumulates one fragment's values in row order.
+// Builder accumulates one fragment's values in row order. A TEXT
+// fragment's arena grows in a strings.Builder, which Finish hands over as
+// the fragment's string without copying it.
 type Builder struct {
-	f *Fragment
+	f    *Fragment
+	text strings.Builder
 }
 
 // NewBuilder starts a fragment for the given chunk/attr of `rows` rows.
@@ -97,8 +102,8 @@ func (b *Builder) Append(v value.Value) {
 	case value.KindFloat:
 		f.floats = append(f.floats, v.F)
 	case value.KindText:
-		f.blob = append(f.blob, v.S...)
-		f.offs = append(f.offs, uint32(len(f.blob)))
+		b.text.WriteString(v.S)
+		f.offs = append(f.offs, uint32(b.text.Len()))
 	default:
 		f.ints = append(f.ints, v.I)
 	}
@@ -108,7 +113,8 @@ func (b *Builder) Append(v value.Value) {
 // Finish seals the fragment and computes its footprint.
 func (b *Builder) Finish() *Fragment {
 	f := b.f
-	f.bytes = int64(len(f.ints)*8+len(f.floats)*8+len(f.offs)*4+len(f.blob)+len(f.nulls)) + 96
+	f.text = b.text.String()
+	f.bytes = int64(len(f.ints)*8+len(f.floats)*8+len(f.offs)*4+len(f.text)+len(f.nulls)) + 96
 	return f
 }
 

@@ -49,6 +49,25 @@ func TestFragmentRoundTripKinds(t *testing.T) {
 	}
 }
 
+var valueSink value.Value
+
+// TestFragmentTextValueAllocs pins the cache serve of TEXT: a value is a
+// substring of the fragment's arena, so reading one allocates nothing, and
+// the arena is budgeted at its byte length, as a byte slab was.
+func TestFragmentTextValueAllocs(t *testing.T) {
+	f := buildFrag(Key{0, 0}, value.KindText, value.Text("alpha"), value.Null(), value.Text("beta-gamma"))
+	if got := testing.AllocsPerRun(100, func() { valueSink = f.Value(2) }); got != 0 {
+		t.Errorf("Value of a TEXT row: %.0f allocations, want 0", got)
+	}
+	if valueSink.S != "beta-gamma" {
+		t.Errorf("Value(2)=%q", valueSink.S)
+	}
+	// offsets 4×4, arena 15, null flags 3, fixed 96
+	if got, want := f.SizeBytes(), int64(4*4+15+3+96); got != want {
+		t.Errorf("TEXT footprint %d bytes, want %d", got, want)
+	}
+}
+
 func TestFragmentNoNullsNoOverhead(t *testing.T) {
 	f := buildFrag(Key{0, 0}, value.KindInt, value.Int(1), value.Int(2))
 	if f.nulls != nil {
